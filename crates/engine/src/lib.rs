@@ -38,12 +38,11 @@
 //!   `create_session` (with a `method` field), `propose`, `label`, `step`,
 //!   `run_budget`, `estimate`, `checkpoint`, `restore`, `checkpoint_to`,
 //!   `restore_from`, `sessions`, `delete_session`, `metrics`,
-//!   `diagnostics`, `shutdown`.  TCP mode is thread-per-connection by
-//!   default; `--evented` swaps in a single-threaded epoll reactor
-//!   ([`reactor`], Linux only) with byte-identical wire semantics that
-//!   scales to thousands of mostly-idle connections under bounded
-//!   memory — bounded line buffers, write-side backpressure, a
-//!   connection cap, and accept-error backoff.
+//!   `diagnostics`, `shutdown`.  One loop, [`server::serve_lines`], frames,
+//!   dispatches and answers requests for both transports: stdio runs it
+//!   directly and [`server::serve_listener`] runs it on one thread per TCP
+//!   connection — with bounded line buffers, a connection cap, and
+//!   accept-error backoff.
 //! * **Robustness** ([`guard`], [`fault`]) — propose-lease timeouts and
 //!   pending-ticket caps ([`SessionLimits`]) reclaim tickets from vanished
 //!   clients deterministically (the lease clock is WAL-logged, so replay
@@ -106,8 +105,6 @@ pub mod guard;
 pub mod log;
 pub mod metrics;
 pub mod protocol;
-#[cfg(target_os = "linux")]
-pub mod reactor;
 pub mod server;
 mod session;
 pub mod store;
@@ -120,11 +117,6 @@ pub use fault::{FaultKind, FaultyStore, StoreOp};
 pub use guard::{ClientPolicy, ConnState};
 pub use log::{EventLog, LogFormat};
 pub use metrics::{Clock, Counter, LatencyHistogram, ManualClock, MetricsRegistry, MonotonicClock};
-#[cfg(target_os = "linux")]
-pub use reactor::{
-    serve_listener_evented, serve_listener_evented_with_config, serve_tcp_evented,
-    serve_tcp_evented_guarded, ReactorConfig,
-};
 pub use session::{LabelSource, Session, SessionLimits, Ticket};
 pub use store::{CheckpointStore, FsCheckpointStore, STORE_FORMAT};
 pub use wal::{WalEntry, WalParseOutcome, WalRecord};

@@ -127,7 +127,7 @@ pub enum Counter {
     RetriedWrite,
     /// Faults injected by a scripted [`crate::fault::FaultyStore`].
     FaultInjected,
-    /// TCP connections accepted (both serving paths).
+    /// TCP connections accepted.
     Connection,
     /// Request lines rejected for exceeding the per-line byte cap.
     LineTooLong,

@@ -1,15 +1,17 @@
-//! Transport layer for the line protocol: stdio and TCP serving loops.
+//! Transport layer for the line protocol.
 //!
-//! [`serve_lines`] is the transport-agnostic core — one request line in, one
-//! response line out — used directly for stdin/stdout mode and per-connection
-//! in TCP mode.  TCP connections are handled on vendored-crossbeam scoped
-//! threads sharing one [`Engine`], so concurrent clients can drive disjoint
-//! sessions in parallel (per-session locks serialise conflicting access).
+//! [`serve_lines`] is the whole protocol loop — line framing, dispatch and
+//! the response write — over any reader/writer pair.  `oasis-serve` runs it
+//! on stdin/stdout, and [`serve_listener`] runs it once per accepted TCP
+//! connection, each on its own scoped thread sharing one [`Engine`].  Both
+//! transports therefore answer the same bytes with the same bytes, and
+//! concurrent clients drive disjoint sessions in parallel (per-session
+//! locks serialise conflicting access).
 //!
-//! Every entry point has a `_with_log` variant accepting an [`EventLog`];
-//! with [`LogFormat::Json`](crate::log::LogFormat::Json) each request emits
-//! one structured event (verb, session, latency, outcome) — see
-//! [`crate::log`].  The log-free variants keep the original behaviour.
+//! With an [`EventLog`] attached, each request emits one structured event
+//! (verb, session, latency, outcome) — see [`crate::log`].  With a
+//! [`ClientPolicy`], requests are screened for auth and rate limits before
+//! they reach the engine.
 
 use crate::engine::Engine;
 use crate::error::EngineError;
@@ -17,19 +19,23 @@ use crate::guard::{guarded_dispatch, ClientPolicy, ConnState};
 use crate::log::EventLog;
 use crate::metrics::Counter;
 use crate::protocol::{error_response, Dispatch, Request};
-use parking_lot::Mutex;
 use serde::json::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Largest request line either serving loop will buffer.  Checkpoint
+/// Largest request line the serving loop will buffer.  Checkpoint
 /// documents for large pools are megabytes, so the cap is generous — but it
 /// must exist: without it a client streaming bytes with no newline grows the
 /// line buffer until the process OOMs, bypassing every parse-time limit.
 pub const MAX_LINE_BYTES: usize = 64 * 1024 * 1024;
+
+/// Most TCP connections [`serve_listener`] serves at once.  At the cap the
+/// accept loop waits for a handler to exit, so new clients queue in the
+/// kernel's accept backlog instead of each getting a thread.
+pub const MAX_CONNECTIONS: usize = 16_384;
 
 /// Outcome of one bounded line read.
 enum LineStatus {
@@ -73,7 +79,7 @@ fn fill_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<
 
 /// Route an operational message through the event log when one is attached,
 /// or straight to stderr in the legacy format otherwise.
-pub(crate) fn log_message(log: Option<&EventLog>, text: &str) {
+fn log_message(log: Option<&EventLog>, text: &str) {
     match log {
         Some(log) => log.message(text),
         None => eprintln!("oasis-serve: {text}"),
@@ -84,7 +90,7 @@ pub(crate) fn log_message(log: Option<&EventLog>, text: &str) {
 /// emitting one structured event per request when a log is attached.  With a
 /// [`ClientPolicy`], requests are screened (auth, rate limits) before they
 /// reach the engine; `conn` carries this connection's authentication state.
-pub(crate) fn handle_line(
+fn handle_line(
     engine: &Engine,
     raw: &[u8],
     log: Option<&EventLog>,
@@ -130,18 +136,22 @@ pub(crate) fn handle_line(
     })
 }
 
-fn write_response<W: Write>(writer: &mut W, response: &serde::json::Json) -> std::io::Result<()> {
-    writer.write_all(response.render().as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Write one response line with a single `write_all`.  Writing the newline
+/// separately lets Nagle's algorithm hold it back until the client's
+/// delayed ACK (about 40 ms) arrives.
+fn write_response<W: Write>(writer: &mut W, response: &Json) -> std::io::Result<()> {
+    let mut line = response.render();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
 /// The structured rejection for an overlong request line: `ok:false` with
 /// `kind:"line_too_long"`, so clients can tell a framing overflow apart
 /// from a malformed request.  Bumps the [`Counter::LineTooLong`] metric.
-pub(crate) fn line_too_long_response(engine: &Engine, max: usize) -> serde::json::Json {
+fn line_too_long_response(engine: &Engine) -> Json {
     engine.metrics().incr(Counter::LineTooLong);
-    error_response(&EngineError::LineTooLong(max))
+    error_response(&EngineError::LineTooLong(MAX_LINE_BYTES))
 }
 
 /// Serve the line protocol over any reader/writer pair until EOF or a
@@ -150,39 +160,16 @@ pub(crate) fn line_too_long_response(engine: &Engine, max: usize) -> serde::json
 ///
 /// Blank lines are ignored; malformed lines produce an `"ok": false`
 /// response and the loop continues — a broken client cannot wedge the
-/// server.  Lines longer than [`MAX_LINE_BYTES`] are answered with an error
-/// and discarded without being buffered whole.
+/// server.  A final line without a trailing newline is still answered.
+/// Lines longer than [`MAX_LINE_BYTES`] are answered with a structured
+/// `kind:"line_too_long"` error and discarded without being buffered whole.
+/// `log` receives one event per request; `policy` screens requests for
+/// auth and rate limits, each rejection a structured `ok:false` line (kind
+/// `unauthorized`/`throttled`).
 ///
 /// # Errors
 /// Only I/O failures on the transport itself.
 pub fn serve_lines<R: BufRead, W: Write>(
-    engine: &Engine,
-    reader: R,
-    writer: &mut W,
-) -> std::io::Result<bool> {
-    serve_lines_with_log(engine, reader, writer, None)
-}
-
-/// [`serve_lines`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Only I/O failures on the transport itself.
-pub fn serve_lines_with_log<R: BufRead, W: Write>(
-    engine: &Engine,
-    reader: R,
-    writer: &mut W,
-    log: Option<&EventLog>,
-) -> std::io::Result<bool> {
-    serve_lines_guarded(engine, reader, writer, log, None)
-}
-
-/// [`serve_lines_with_log`] with an optional [`ClientPolicy`]: requests are
-/// screened for auth and rate limits before reaching the engine, each
-/// rejection a structured `ok:false` line (kind `unauthorized`/`throttled`).
-///
-/// # Errors
-/// Only I/O failures on the transport itself.
-pub fn serve_lines_guarded<R: BufRead, W: Write>(
     engine: &Engine,
     mut reader: R,
     writer: &mut W,
@@ -190,6 +177,9 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<bool> {
     let mut conn = ConnState::default();
+    // Partial lines survive short reads: `fill_line` appends raw bytes, so
+    // a request split across packets is completed by later reads even when
+    // the split lands inside a multi-byte UTF-8 character.
     let mut line = Vec::new();
     let mut discarding = false;
     loop {
@@ -212,7 +202,7 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
             }
             LineStatus::TooLong => {
                 if !discarding {
-                    write_response(writer, &line_too_long_response(engine, MAX_LINE_BYTES))?;
+                    write_response(writer, &line_too_long_response(engine))?;
                     discarding = true;
                 }
                 line.clear();
@@ -221,55 +211,18 @@ pub fn serve_lines_guarded<R: BufRead, W: Write>(
     }
 }
 
-/// Serve the line protocol over TCP, handling each connection on a scoped
-/// worker thread against the shared engine.  Returns when a client issues
-/// `shutdown`: the accept loop stops and every open connection is closed
-/// from the accept side (a connection registry tracks the open sockets, so
-/// even idle clients are woken promptly — no read-timeout polling, zero CPU
-/// per idle connection, shutdown latency bounded by a socket close).
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp(engine: &Engine, addr: &str) -> std::io::Result<()> {
-    serve_listener(engine, TcpListener::bind(addr)?)
-}
-
-/// [`serve_tcp`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp_with_log(
-    engine: &Engine,
-    addr: &str,
-    log: Option<&EventLog>,
-) -> std::io::Result<()> {
-    serve_listener_with_log(engine, TcpListener::bind(addr)?, log)
-}
-
-/// [`serve_tcp_with_log`] with an optional [`ClientPolicy`] screening every
-/// connection (auth state is per-connection; rate buckets are shared).
-///
-/// # Errors
-/// Socket bind/accept failures.
-pub fn serve_tcp_guarded(
-    engine: &Engine,
-    addr: &str,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-) -> std::io::Result<()> {
-    serve_listener_guarded(engine, TcpListener::bind(addr)?, log, policy)
-}
-
-/// A registry of the open TCP connections of one serving loop, so shutdown
-/// can wake every blocked handler *promptly* by closing its socket from the
-/// accept side.  Handlers used to poll a stop flag on a 100ms read timeout,
-/// which made every idle connection burn a wakeup per interval and
-/// quantized shutdown latency to the poll period; with the registry, idle
-/// connections cost zero CPU and shutdown is bounded only by a socket
-/// close.
+/// The open TCP connections of one serving loop.  It bounds how many
+/// handlers run at once — the accept loop waits for a free slot, so excess
+/// clients queue in the kernel backlog — and lets shutdown wake every
+/// blocked handler promptly by closing its socket from the accept side.
+/// Idle connections therefore cost no CPU, and shutdown latency is bounded
+/// by a socket close rather than a poll interval.  The registry shares
+/// each socket with its handler, so a connection costs one fd.
 #[derive(Default)]
 struct ConnRegistry {
     inner: Mutex<RegistryInner>,
+    /// Signalled when a connection leaves or the registry closes.
+    changed: Condvar,
 }
 
 #[derive(Default)]
@@ -278,37 +231,56 @@ struct RegistryInner {
     /// the spot so no handler can slip past the sweep and block forever.
     closed: bool,
     next_id: u64,
-    conns: HashMap<u64, TcpStream>,
+    conns: HashMap<u64, Arc<TcpStream>>,
 }
 
 impl ConnRegistry {
-    /// Track `stream` (a `try_clone` of the handler's socket).  Returns
-    /// `None` — after shutting the stream down — when the registry already
-    /// closed, so the caller's handler sees EOF immediately.
-    fn register(&self, stream: TcpStream) -> Option<u64> {
-        let mut inner = self.inner.lock();
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until fewer than `cap` connections are open.  Returns `false`
+    /// once the registry has closed.
+    fn wait_for_slot(&self, cap: usize) -> bool {
+        let mut inner = self.lock();
+        while !inner.closed && inner.conns.len() >= cap {
+            inner = self
+                .changed
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !inner.closed
+    }
+
+    /// Track `stream`, the handler's socket.  Returns `None` — after
+    /// shutting the stream down — when the registry already closed, so the
+    /// connection is hung up at once.
+    fn register(&self, stream: &Arc<TcpStream>) -> Option<u64> {
+        let mut inner = self.lock();
         if inner.closed {
             let _ = stream.shutdown(Shutdown::Both);
             return None;
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.conns.insert(id, stream);
+        inner.conns.insert(id, Arc::clone(stream));
         Some(id)
     }
 
     fn deregister(&self, id: u64) {
-        self.inner.lock().conns.remove(&id);
+        self.lock().conns.remove(&id);
+        self.changed.notify_all();
     }
 
     /// Close every registered connection and refuse future registrations.
     fn close_all(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.closed = true;
         for stream in inner.conns.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         inner.conns.clear();
+        self.changed.notify_all();
     }
 }
 
@@ -318,21 +290,19 @@ impl ConnRegistry {
 /// immediately — the listener's backlog still holds the connection — so a
 /// log-and-continue loop spins at 100% duty, starving the handler threads
 /// of the very fds it is waiting for.  Sleeping a doubling, capped delay
-/// between retries lets handlers finish and release fds.  Shared by the
-/// blocking accept loop and the evented reactor (which turns the delay into
-/// an epoll timeout instead of sleeping).
+/// between retries lets handlers finish and release fds.
 #[derive(Debug)]
-pub(crate) struct AcceptBackoff {
+struct AcceptBackoff {
     delay: Duration,
 }
 
 /// First retry delay after an `accept()` failure.
-pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(5);
 /// Largest delay between `accept()` retries.
-pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 impl AcceptBackoff {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         AcceptBackoff {
             delay: ACCEPT_BACKOFF_MIN,
         }
@@ -340,21 +310,21 @@ impl AcceptBackoff {
 
     /// The delay to wait before the next accept attempt; doubles up to
     /// [`ACCEPT_BACKOFF_MAX`] on consecutive failures.
-    pub(crate) fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let delay = self.delay;
         self.delay = (delay * 2).min(ACCEPT_BACKOFF_MAX);
         delay
     }
 
     /// A successful accept resets the ladder.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.delay = ACCEPT_BACKOFF_MIN;
     }
 }
 
-/// The accept side of the blocking serving loop, abstracted so tests can
-/// inject `accept()` failures (EMFILE and friends) that are otherwise
-/// impossible to provoke deterministically.
+/// The accept side of the serving loop, abstracted so tests can inject
+/// `accept()` failures (EMFILE and friends) that are otherwise impossible
+/// to provoke deterministically.
 pub(crate) trait AcceptSource {
     /// Accept one connection.
     fn accept_stream(&self) -> std::io::Result<TcpStream>;
@@ -366,148 +336,61 @@ impl AcceptSource for TcpListener {
     }
 }
 
-/// Handle one TCP connection, returning `true` if this client issued
-/// `shutdown`.  Reads block indefinitely: a shutdown initiated on *another*
-/// connection wakes this handler by closing its socket through the
-/// [`ConnRegistry`], so the read returns EOF at once instead of after a
-/// poll interval.
-fn serve_tcp_connection(
+/// Serve one TCP connection with [`serve_lines`], returning `true` if this
+/// client issued `shutdown`.  Reads block indefinitely: a shutdown issued
+/// on another connection wakes this one by closing its socket through the
+/// [`ConnRegistry`].  Writes block too, so a client that stops draining its
+/// responses stops this thread from reading its next request.
+fn serve_connection(
     engine: &Engine,
-    stream: TcpStream,
-    registry: &ConnRegistry,
+    stream: &TcpStream,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
 ) -> bool {
-    let mut conn = ConnState::default();
-    let registered = match stream.try_clone() {
-        Ok(clone) => match registry.register(clone) {
-            Some(id) => id,
-            None => return false, // Shutdown won the race; hang up.
-        },
-        Err(_) => return false,
-    };
-    let shutdown = serve_registered_connection(engine, stream, log, policy, &mut conn);
-    registry.deregister(registered);
-    shutdown
-}
-
-fn serve_registered_connection(
-    engine: &Engine,
-    stream: TcpStream,
-    log: Option<&EventLog>,
-    policy: Option<&ClientPolicy>,
-    conn: &mut ConnState,
-) -> bool {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return false,
-    });
+    // Each response is one write; with Nagle off, none of them waits for
+    // the client's delayed ACK of the previous one.
+    let _ = stream.set_nodelay(true);
     let mut writer = stream;
-    // Partial lines survive short reads: `fill_line` appends raw bytes, so
-    // a request split across packets is completed by later reads even when
-    // the split lands inside a multi-byte UTF-8 character.  The buffer is
-    // bounded by MAX_LINE_BYTES; overlong lines are answered with a
-    // structured `line_too_long` error and drained.
-    let mut line = Vec::new();
-    let mut discarding = false;
-    loop {
-        match fill_line(&mut reader, &mut line) {
-            Ok(LineStatus::Eof) => return false, // Hang-up or shutdown wake.
-            Ok(LineStatus::FinalPartial) => return false, // EOF mid-line.
-            Ok(LineStatus::Complete) => {
-                if discarding {
-                    discarding = false;
-                    line.clear();
-                    continue;
-                }
-                let outcome = match handle_line(engine, &line, log, policy, conn) {
-                    Some(outcome) => outcome,
-                    None => {
-                        line.clear();
-                        continue;
-                    }
-                };
-                line.clear();
-                if write_response(&mut writer, &outcome.response).is_err() {
-                    return false;
-                }
-                if outcome.shutdown {
-                    return true;
-                }
-            }
-            Ok(LineStatus::TooLong) => {
-                if !discarding {
-                    let response = line_too_long_response(engine, MAX_LINE_BYTES);
-                    if write_response(&mut writer, &response).is_err() {
-                        return false;
-                    }
-                    discarding = true;
-                }
-                line.clear();
-            }
-            Err(_) => return false,
-        }
-    }
+    serve_lines(engine, BufReader::new(stream), &mut writer, log, policy).unwrap_or(false)
 }
 
-/// [`serve_tcp`] over an already-bound listener (useful for ephemeral-port
-/// setups: bind first, advertise `local_addr`, then serve).
+/// Serve the line protocol over TCP until a client issues `shutdown`: each
+/// accepted connection runs [`serve_lines`] on its own scoped thread
+/// against the shared engine, up to [`MAX_CONNECTIONS`] at once.  On
+/// `shutdown` the accept loop stops and every open connection is closed
+/// from the accept side, so even idle clients are released at once.
 ///
 /// # Errors
 /// Only listener-setup failures; per-connection accept errors (a client
 /// resetting mid-handshake, transient resource exhaustion) are logged and
-/// skipped so one flaky connect cannot tear down every other client's
-/// session.
-pub fn serve_listener(engine: &Engine, listener: TcpListener) -> std::io::Result<()> {
-    serve_listener_with_log(engine, listener, None)
-}
-
-/// [`serve_listener`] with an attached [`EventLog`] for per-request events.
-///
-/// # Errors
-/// Only listener-setup failures; per-connection accept errors are logged
-/// and skipped.
-pub fn serve_listener_with_log(
-    engine: &Engine,
-    listener: TcpListener,
-    log: Option<&EventLog>,
-) -> std::io::Result<()> {
-    serve_listener_guarded(engine, listener, log, None)
-}
-
-/// [`serve_listener_with_log`] with an optional [`ClientPolicy`] screening
-/// every connection.
-///
-/// # Errors
-/// Only listener-setup failures; per-connection accept errors are logged
-/// and skipped.
-pub fn serve_listener_guarded(
+/// retried after a bounded backoff, so one flaky connect cannot tear down
+/// every other client's session.
+pub fn serve_listener(
     engine: &Engine,
     listener: TcpListener,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
 ) -> std::io::Result<()> {
     let local = listener.local_addr()?;
-    serve_accept_loop(engine, &listener, local, log, policy)
+    serve_accept_loop(engine, &listener, local, log, policy, MAX_CONNECTIONS)
 }
 
-/// The blocking accept loop over any [`AcceptSource`] (production:
-/// [`TcpListener`]; tests: sources that inject accept failures).
+/// The accept loop behind [`serve_listener`], over any [`AcceptSource`]
+/// (production: [`TcpListener`]; tests: sources that inject accept
+/// failures) and with the connection cap as a parameter so tests can
+/// reach it cheaply.
 pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
     engine: &Engine,
     source: &A,
-    local: std::net::SocketAddr,
+    local: SocketAddr,
     log: Option<&EventLog>,
     policy: Option<&ClientPolicy>,
+    max_connections: usize,
 ) -> std::io::Result<()> {
-    let stop = AtomicBool::new(false);
     let registry = ConnRegistry::default();
     let mut backoff = AcceptBackoff::new();
-    crossbeam::thread::scope(|scope| -> std::io::Result<()> {
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
+    crossbeam::thread::scope(|scope| {
+        while registry.wait_for_slot(max_connections) {
             let stream = match source.accept_stream() {
                 Ok(stream) => {
                     backoff.reset();
@@ -532,56 +415,66 @@ pub(crate) fn serve_accept_loop<A: AcceptSource + Sync>(
                     continue;
                 }
             };
-            let stop = &stop;
+            // Registered here rather than in the handler, so the cap counts
+            // every accepted connection, including ones not yet running.
+            let stream = Arc::new(stream);
+            let Some(id) = registry.register(&stream) else {
+                continue;
+            };
             let registry = &registry;
             scope.spawn(move |_| {
-                if serve_tcp_connection(engine, stream, registry, log, policy) {
-                    stop.store(true, Ordering::SeqCst);
-                    // Wake every blocked handler by closing its socket —
-                    // idle connections notice the shutdown immediately
-                    // instead of on a poll interval.
+                let shutdown = serve_connection(engine, &stream, log, policy);
+                registry.deregister(id);
+                if shutdown {
+                    // Wake every blocked handler by closing its socket, then
+                    // unblock the accept loop so it sees the closed registry.
                     registry.close_all();
-                    // Unblock the accept loop so the listener notices the
-                    // shutdown flag.  When bound to an unspecified address
-                    // (0.0.0.0 / ::), self-connect via the loopback of the
-                    // same family — connecting to 0.0.0.0 fails on some
-                    // platforms.
-                    let mut wake = local;
-                    if wake.ip().is_unspecified() {
-                        wake.set_ip(match wake.ip() {
-                            std::net::IpAddr::V4(_) => {
-                                std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST)
-                            }
-                            std::net::IpAddr::V6(_) => {
-                                std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST)
-                            }
-                        });
-                    }
-                    if let Err(error) = TcpStream::connect(wake) {
-                        log_message(
-                            log,
-                            &format!(
-                                "shutdown wake-up connect to {wake} failed ({error}); \
-                                 the listener will close on the next incoming connection"
-                            ),
-                        );
-                    }
+                    wake_accept_loop(local, log);
                 }
             });
         }
-        Ok(())
     })
-    .map_err(|_| std::io::Error::other(EngineError::Protocol("worker panicked".into())))?
+    .map_err(|_| std::io::Error::other(EngineError::Protocol("worker panicked".into())))
+}
+
+/// Self-connect to the listener so a loop blocked in `accept()` returns.
+/// When bound to an unspecified address (0.0.0.0 / ::), connect via the
+/// loopback of the same family — connecting to 0.0.0.0 fails on some
+/// platforms.
+fn wake_accept_loop(mut local: SocketAddr, log: Option<&EventLog>) {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local.ip() {
+            std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+            std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+        });
+    }
+    if let Err(error) = TcpStream::connect(local) {
+        log_message(
+            log,
+            &format!(
+                "shutdown wake-up connect to {local} failed ({error}); \
+                 the listener will close on the next incoming connection"
+            ),
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use std::sync::atomic::Ordering;
 
     fn run_script(engine: &Engine, script: &str) -> Vec<String> {
         let mut output = Vec::new();
-        serve_lines(engine, Cursor::new(script.to_string()), &mut output).unwrap();
+        serve_lines(
+            engine,
+            Cursor::new(script.to_string()),
+            &mut output,
+            None,
+            None,
+        )
+        .unwrap();
         String::from_utf8(output)
             .unwrap()
             .lines()
@@ -696,7 +589,7 @@ mod tests {
         script.resize(MAX_LINE_BYTES + 1024, b'x');
         script.extend_from_slice(b"\"}\n{\"cmd\":\"sessions\"}\n");
         let mut output = Vec::new();
-        serve_lines(&engine, Cursor::new(script), &mut output).unwrap();
+        serve_lines(&engine, Cursor::new(script), &mut output, None, None).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "one error + one normal response: {text}");
@@ -765,7 +658,9 @@ mod tests {
             let engine = &engine;
             let flaky = &flaky;
             let started = Instant::now();
-            let server = scope.spawn(move |_| serve_accept_loop(engine, flaky, addr, None, None));
+            let server = scope.spawn(move |_| {
+                serve_accept_loop(engine, flaky, addr, None, None, MAX_CONNECTIONS)
+            });
 
             // The client connects while the accepts are failing; the
             // listener backlog holds it until the backoff ladder admits it.
@@ -828,11 +723,12 @@ mod tests {
             "\n",
         );
         let mut output = Vec::new();
-        serve_lines_with_log(
+        serve_lines(
             &engine,
             Cursor::new(script.to_string()),
             &mut output,
             Some(&log),
+            None,
         )
         .unwrap();
 
@@ -872,7 +768,7 @@ mod tests {
             "\n",
         );
         let mut output = Vec::new();
-        serve_lines_guarded(
+        serve_lines(
             &engine,
             Cursor::new(script.to_string()),
             &mut output,
@@ -904,8 +800,7 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
             let policy = &policy;
-            let server =
-                scope.spawn(move |_| serve_listener_guarded(engine, listener, None, Some(policy)));
+            let server = scope.spawn(move |_| serve_listener(engine, listener, None, Some(policy)));
 
             let mut first = loop {
                 match TcpStream::connect(addr) {
@@ -962,7 +857,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
-            let server = scope.spawn(move |_| serve_listener(engine, listener));
+            let server = scope.spawn(move |_| serve_listener(engine, listener, None, None));
 
             // An idle client that connects and never sends a byte.
             let idle = loop {
@@ -995,6 +890,106 @@ mod tests {
         .unwrap();
     }
 
+    /// Connect with retry (the server thread may not be accepting yet) and
+    /// a read timeout, so a regression fails a test instead of hanging it.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(stream) => break stream,
+                Err(_) => std::thread::yield_now(),
+            }
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    fn read_response(stream: &TcpStream) -> String {
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        line
+    }
+
+    #[test]
+    fn connection_cap_parks_new_clients_in_the_backlog_until_a_slot_frees() {
+        let engine = Engine::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        crossbeam::thread::scope(|scope| {
+            let engine = &engine;
+            let listener = &listener;
+            let server =
+                scope.spawn(move |_| serve_accept_loop(engine, listener, addr, None, None, 2));
+
+            let first = connect(addr);
+            let mut second = connect(addr);
+            // Prove both slots are live.
+            second.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
+            assert!(read_response(&second).contains(r#""ok":true"#));
+
+            // The third client connects (kernel backlog) but is not accepted
+            // while the cap is held.
+            let mut third = connect(addr);
+            third
+                .set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            third.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
+            let mut line = String::new();
+            let parked = BufReader::new(&third).read_line(&mut line);
+            assert!(parked.is_err(), "served past the cap: {line}");
+            assert_eq!(engine.metrics().counter(Counter::Connection), 2);
+
+            // Dropping a connection frees its slot and the parked client
+            // gets served.
+            drop(first);
+            third
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            assert!(read_response(&third).contains(r#""ok":true"#));
+
+            second.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+            assert!(read_response(&second).contains(r#""shutdown":true"#));
+            server.join().unwrap().unwrap();
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn shutdown_at_the_connection_cap_returns_promptly() {
+        let engine = Engine::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        crossbeam::thread::scope(|scope| {
+            let engine = &engine;
+            let listener = &listener;
+            let server =
+                scope.spawn(move |_| serve_accept_loop(engine, listener, addr, None, None, 2));
+
+            // Fill both slots, park a third client in the backlog, then shut
+            // down from one of the live connections.
+            let idle = connect(addr);
+            let mut active = connect(addr);
+            active.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
+            assert!(read_response(&active).contains(r#""ok":true"#));
+            let parked = connect(addr);
+
+            active.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
+            assert!(read_response(&active).contains(r#""shutdown":true"#));
+            // The accept loop is waiting for a slot, not in `accept()`; the
+            // closing registry must wake it.
+            let waited = Instant::now();
+            server.join().unwrap().unwrap();
+            assert!(
+                waited.elapsed() < Duration::from_millis(500),
+                "shutdown at the cap took {:?}",
+                waited.elapsed()
+            );
+            drop((idle, parked));
+        })
+        .unwrap();
+    }
+
     #[test]
     fn tcp_round_trip() {
         use std::io::{BufRead as _, BufReader, Write as _};
@@ -1006,7 +1001,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let engine = &engine;
-            let server = scope.spawn(move |_| serve_listener(engine, listener));
+            let server = scope.spawn(move |_| serve_listener(engine, listener, None, None));
 
             // Client: retry connect until the server is listening.
             let mut stream = loop {

@@ -1,15 +1,13 @@
-//! Integration tests for the epoll reactor (`oasis_engine::reactor`).
+//! Integration tests for the TCP transport (`oasis_engine::server::serve_listener`).
 //!
-//! The contract under test: the evented server speaks *exactly* the same
-//! wire protocol as the blocking path (byte-identical responses to the CI
-//! smoke script, regardless of how the bytes are sliced across reads), and
-//! its resource bounds — line cap, write-buffer watermark, connection cap —
-//! degrade service gracefully instead of wedging the loop.
-#![cfg(target_os = "linux")]
+//! The contract under test: every TCP connection runs the same
+//! `serve_lines` loop that serves stdio, so TCP answers a script with
+//! exactly the bytes stdio does — however the bytes are sliced across
+//! reads — and a slow, hostile or non-draining client degrades only its
+//! own connection.
 
-use oasis_engine::reactor::{serve_listener_evented_with_config, ReactorConfig};
-use oasis_engine::server::serve_lines;
-use oasis_engine::{ClientPolicy, Engine};
+use oasis_engine::server::{serve_lines, serve_listener, MAX_LINE_BYTES};
+use oasis_engine::{ClientPolicy, Counter, Engine};
 use proptest::prelude::*;
 use std::io::{BufRead as _, BufReader, Cursor, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -32,9 +30,9 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Stop an evented server by issuing `shutdown` on a fresh connection.
-/// The auth preamble covers guarded servers (every test policy uses the
-/// token `sesame`); unguarded servers answer it and carry on.
+/// Stop a server by issuing `shutdown` on a fresh connection.  The auth
+/// preamble covers guarded servers (every test policy uses the token
+/// `sesame`); unguarded servers answer it and carry on.
 fn send_shutdown(addr: SocketAddr) {
     let mut stream = connect(addr);
     stream
@@ -47,9 +45,9 @@ fn send_shutdown(addr: SocketAddr) {
     let _ = reader.read_line(&mut line);
 }
 
-/// Run `body` against an evented server over a fresh engine, shutting the
+/// Run `body` against a TCP server over a fresh engine, shutting the
 /// server down afterwards.  Returns the engine for metric assertions.
-fn with_evented_server<F>(config: ReactorConfig, policy: Option<ClientPolicy>, body: F) -> Engine
+fn with_server<F>(policy: Option<ClientPolicy>, body: F) -> Engine
 where
     F: FnOnce(SocketAddr),
 {
@@ -59,23 +57,32 @@ where
     crossbeam::thread::scope(|scope| {
         let engine = &engine;
         let policy = policy.as_ref();
-        let config = &config;
-        let server = scope.spawn(move |_| {
-            serve_listener_evented_with_config(engine, listener, None, policy, config)
-        });
-        body(addr);
+        let server = scope.spawn(move |_| serve_listener(engine, listener, None, policy));
+        // A failed assertion must still stop the server, or the scope
+        // would wait on it forever.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
         send_shutdown(addr);
         server.join().unwrap().unwrap();
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
     })
     .unwrap();
     engine
 }
 
-/// The blocking path's responses to a script — the parity reference.
+/// The stdio loop's responses to a script — the parity reference.
 fn blocking_reference(script: &[u8]) -> Vec<u8> {
     let engine = Engine::new();
     let mut output = Vec::new();
-    serve_lines(&engine, Cursor::new(script.to_vec()), &mut output).unwrap();
+    serve_lines(
+        &engine,
+        Cursor::new(script.to_vec()),
+        &mut output,
+        None,
+        None,
+    )
+    .unwrap();
     output
 }
 
@@ -88,27 +95,19 @@ fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
     let addr = listener.local_addr().unwrap();
     crossbeam::thread::scope(|scope| {
         let engine = &engine;
-        let server = scope.spawn(move |_| {
-            serve_listener_evented_with_config(
-                engine,
-                listener,
-                None,
-                None,
-                &ReactorConfig::default(),
-            )
-        });
+        let server = scope.spawn(move |_| serve_listener(engine, listener, None, None));
         // The smoke script ends with `shutdown`, so the server exits and
         // the client reads responses until EOF.
         let mut stream = connect(addr);
         stream.write_all(SMOKE_SCRIPT.as_bytes()).unwrap();
-        let mut evented = Vec::new();
-        stream.read_to_end(&mut evented).unwrap();
+        let mut tcp = Vec::new();
+        stream.read_to_end(&mut tcp).unwrap();
         server.join().unwrap().unwrap();
 
         assert_eq!(
-            String::from_utf8_lossy(&evented),
+            String::from_utf8_lossy(&tcp),
             String::from_utf8_lossy(&reference),
-            "evented and blocking transports must be wire-identical"
+            "TCP and stdio transports must be wire-identical"
         );
     })
     .unwrap();
@@ -116,21 +115,65 @@ fn smoke_script_responses_are_byte_identical_to_the_blocking_path() {
 
 #[test]
 fn final_unterminated_line_is_answered_like_the_blocking_path() {
-    // The blocking path answers a final line with no trailing newline; the
-    // reactor must do the same when the peer half-closes mid-line.
+    // The stdio loop answers a final line with no trailing newline; TCP
+    // must do the same when the peer half-closes mid-line.
     let script = b"{\"cmd\":\"sessions\"}\n{\"cmd\":\"sessions\"}";
     let reference = blocking_reference(script);
     assert_eq!(reference.iter().filter(|&&b| b == b'\n').count(), 2);
 
-    with_evented_server(ReactorConfig::default(), None, |addr| {
+    with_server(None, |addr| {
         let mut stream = connect(addr);
         stream.write_all(script).unwrap();
         stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut evented = Vec::new();
-        stream.read_to_end(&mut evented).unwrap();
+        let mut tcp = Vec::new();
+        stream.read_to_end(&mut tcp).unwrap();
         assert_eq!(
-            String::from_utf8_lossy(&evented),
+            String::from_utf8_lossy(&tcp),
             String::from_utf8_lossy(&reference)
+        );
+    });
+}
+
+#[test]
+fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+    // A response written in two pieces lets Nagle's algorithm hold the
+    // second piece until the client's delayed ACK, about 40 ms later.  The
+    // client here writes each request whole and leaves Nagle on, so any
+    // such stall would come from the server.
+    const ROUND_TRIPS: usize = 200;
+    with_server(None, |addr| {
+        let mut stream = connect(addr);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let setup = concat!(
+            r#"{"cmd":"load_pool","pool":"p","scores":[0.95,0.9,0.8,0.6,0.4,0.2,0.15,0.1,0.05,0.02],"predictions":[true,true,true,true,false,false,false,false,false,false]}"#,
+            "\n",
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":42,"truth":[true,true,false,true,false,false,false,false,false,false]}"#,
+            "\n",
+        );
+        stream.write_all(setup.as_bytes()).unwrap();
+        let mut line = String::new();
+        for _ in 0..2 {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(r#""ok":true"#), "{line}");
+        }
+
+        let mut round_trips = Vec::with_capacity(ROUND_TRIPS);
+        for _ in 0..ROUND_TRIPS {
+            let sent = Instant::now();
+            stream
+                .write_all(b"{\"cmd\":\"step\",\"session\":\"s\",\"steps\":10}\n")
+                .unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            round_trips.push(sent.elapsed());
+            assert!(line.contains(r#""ok":true"#), "{line}");
+        }
+        round_trips.sort_unstable();
+        let median = round_trips[ROUND_TRIPS / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median round trip {median:?} is near the 40 ms delayed-ACK floor"
         );
     });
 }
@@ -138,7 +181,7 @@ fn final_unterminated_line_is_answered_like_the_blocking_path() {
 #[test]
 fn slowloris_client_does_not_starve_concurrent_clients() {
     const FAN_OUT: usize = 100;
-    let engine = with_evented_server(ReactorConfig::default(), None, |addr| {
+    let engine = with_server(None, |addr| {
         crossbeam::thread::scope(|scope| {
             // A slowloris client dribbles one request byte at a time, the
             // connection held open throughout.
@@ -154,7 +197,7 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
                 assert!(line.contains(r#""ok":true"#), "{line}");
             });
             // Meanwhile a fan-out of normal clients all complete round
-            // trips — the reactor never blocks on the slow one.
+            // trips — the slow one ties up only its own thread.
             let mut clients = Vec::new();
             for _ in 0..FAN_OUT {
                 clients.push(scope.spawn(move |_| {
@@ -172,20 +215,21 @@ fn slowloris_client_does_not_starve_concurrent_clients() {
         })
         .unwrap();
     });
-    assert!(engine.metrics().counter(oasis_engine::Counter::Connection) >= (FAN_OUT + 1) as u64);
+    assert!(engine.metrics().counter(Counter::Connection) >= (FAN_OUT + 1) as u64);
 }
 
 #[test]
 fn overlong_lines_get_the_structured_error_and_the_connection_survives() {
-    let config = ReactorConfig {
-        max_line_bytes: 64,
-        ..ReactorConfig::default()
-    };
-    let engine = with_evented_server(config, None, |addr| {
+    let engine = with_server(None, |addr| {
         let mut stream = connect(addr);
-        // 200 bytes of junk without a newline — crosses the 64-byte cap
-        // mid-line, so the error must arrive *before* the newline does.
-        stream.write_all(&[b'x'; 200]).unwrap();
+        // Junk past MAX_LINE_BYTES without a newline: the error must
+        // arrive *before* the newline does.
+        let chunk = vec![b'x'; 64 * 1024];
+        let mut sent = 0;
+        while sent <= MAX_LINE_BYTES {
+            stream.write_all(&chunk).unwrap();
+            sent += chunk.len();
+        }
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
@@ -199,22 +243,13 @@ fn overlong_lines_get_the_structured_error_and_the_connection_survives() {
         reader.read_line(&mut line).unwrap();
         assert!(line.contains(r#""ok":true"#), "{line}");
     });
-    assert_eq!(
-        engine.metrics().counter(oasis_engine::Counter::LineTooLong),
-        1
-    );
+    assert_eq!(engine.metrics().counter(Counter::LineTooLong), 1);
 }
 
 #[test]
 fn write_backpressure_pauses_reading_without_blocking_other_clients() {
     const PIPELINED: usize = 200;
-    let config = ReactorConfig {
-        // A tiny watermark so a non-draining client trips backpressure
-        // after a handful of responses.
-        max_write_buffer: 1024,
-        ..ReactorConfig::default()
-    };
-    with_evented_server(config, None, |addr| {
+    with_server(None, |addr| {
         // Client A pipelines requests without reading any responses.
         let mut hog = connect(addr);
         let mut batch = Vec::new();
@@ -222,7 +257,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
             batch.extend_from_slice(b"{\"cmd\":\"sessions\"}\n");
         }
         hog.write_all(&batch).unwrap();
-        // Client B still gets prompt service while A is backpressured.
+        // Client B still gets prompt service while A's responses queue.
         let started = Instant::now();
         let mut other = connect(addr);
         other.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
@@ -231,7 +266,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
         assert!(line.contains(r#""ok":true"#), "{line}");
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "a backpressured connection must not stall the reactor"
+            "a non-draining connection must not stall other clients"
         );
         // Once A drains, every pipelined response arrives in order.
         let mut responses = 0usize;
@@ -250,7 +285,7 @@ fn write_backpressure_pauses_reading_without_blocking_other_clients() {
 #[test]
 fn auth_state_is_per_connection() {
     let policy = ClientPolicy::new().with_auth_token("sesame");
-    with_evented_server(ReactorConfig::default(), Some(policy), |addr| {
+    with_server(Some(policy), |addr| {
         let mut authed = connect(addr);
         authed
             .write_all(b"{\"cmd\":\"auth\",\"token\":\"sesame\"}\n{\"cmd\":\"sessions\"}\n")
@@ -272,41 +307,13 @@ fn auth_state_is_per_connection() {
     });
 }
 
-#[test]
-fn connection_cap_parks_new_clients_in_the_backlog_until_a_slot_frees() {
-    let config = ReactorConfig {
-        max_connections: 2,
-        ..ReactorConfig::default()
-    };
-    with_evented_server(config, None, |addr| {
-        let first = connect(addr);
-        let mut second = connect(addr);
-        // Prove both slots are live.
-        second.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
-        let mut line = String::new();
-        let mut second_reader = BufReader::new(second.try_clone().unwrap());
-        second_reader.read_line(&mut line).unwrap();
-        assert!(line.contains(r#""ok":true"#), "{line}");
-
-        // The third client connects (kernel backlog) but is not accepted
-        // while the cap is held; dropping a connection frees its slot and
-        // the parked client gets served.
-        let mut third = connect(addr);
-        third.write_all(b"{\"cmd\":\"sessions\"}\n").unwrap();
-        drop(first);
-        line.clear();
-        BufReader::new(third).read_line(&mut line).unwrap();
-        assert!(line.contains(r#""ok":true"#), "{line}");
-    });
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Framing is independent of packetisation: however the script's bytes
     /// are sliced across writes (including splits inside a request line and
     /// inside multi-byte UTF-8), the responses are byte-identical to the
-    /// blocking path over the same script.
+    /// stdio loop over the same script.
     #[test]
     fn responses_are_invariant_under_arbitrary_packetisation(
         cuts in prop::collection::vec(0usize..200, 1..6),
@@ -322,7 +329,7 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
 
-        with_evented_server(ReactorConfig::default(), None, |addr| {
+        with_server(None, |addr| {
             let mut stream = connect(addr);
             stream.set_nodelay(true).unwrap();
             let mut start = 0;
@@ -330,17 +337,17 @@ proptest! {
                 if *cut > start {
                     stream.write_all(&script[start..*cut]).unwrap();
                     stream.flush().unwrap();
-                    // Give the reactor a chance to observe the partial
+                    // Give the server a chance to observe the partial
                     // chunk as its own read.
                     std::thread::sleep(Duration::from_millis(1));
                     start = *cut;
                 }
             }
             stream.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut evented = Vec::new();
-            stream.read_to_end(&mut evented).unwrap();
+            let mut tcp = Vec::new();
+            stream.read_to_end(&mut tcp).unwrap();
             assert_eq!(
-                String::from_utf8_lossy(&evented),
+                String::from_utf8_lossy(&tcp),
                 String::from_utf8_lossy(&reference)
             );
         });

@@ -10,7 +10,7 @@
 //! through torn appends, ENOSPC and transient I/O faults and assert the
 //! engine's retry/scrub/error paths keep sessions recoverable.
 
-use oasis_engine::server::serve_lines;
+use oasis_engine::server::{serve_lines, serve_listener};
 use oasis_engine::{
     CheckpointStore, Engine, FaultKind, FaultyStore, FsCheckpointStore, ManualClock, StoreOp,
 };
@@ -73,7 +73,7 @@ fn run_lines(engine: &Engine, lines: &[&str]) -> Vec<String> {
     let mut script = lines.join("\n");
     script.push('\n');
     let mut output = Vec::new();
-    serve_lines(engine, Cursor::new(script), &mut output).unwrap();
+    serve_lines(engine, Cursor::new(script), &mut output, None, None).unwrap();
     String::from_utf8(output)
         .unwrap()
         .lines()
@@ -81,14 +81,12 @@ fn run_lines(engine: &Engine, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// [`run_lines`] with the transport swapped for the epoll reactor: the
-/// script travels over a real TCP connection into an evented server.  The
-/// client half-closes after writing, so the server answers everything and
-/// closes; a second connection then issues `shutdown` (which never touches
-/// the WAL, so it cannot perturb byte-parity with the blocking reference).
-#[cfg(target_os = "linux")]
-fn run_lines_evented(engine: &Engine, lines: &[&str]) -> Vec<String> {
-    use oasis_engine::reactor::{serve_listener_evented_with_config, ReactorConfig};
+/// [`run_lines`] over TCP: the script travels over a real connection into
+/// [`serve_listener`].  The client half-closes after writing, so the server
+/// answers everything and closes; a second connection then issues
+/// `shutdown` (which never touches the WAL, so it cannot perturb
+/// byte-parity with the stdio reference).
+fn run_lines_tcp(engine: &Engine, lines: &[&str]) -> Vec<String> {
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
 
@@ -98,15 +96,7 @@ fn run_lines_evented(engine: &Engine, lines: &[&str]) -> Vec<String> {
     let addr = listener.local_addr().unwrap();
     let mut collected = Vec::new();
     crossbeam::thread::scope(|scope| {
-        let server = scope.spawn(move |_| {
-            serve_listener_evented_with_config(
-                engine,
-                listener,
-                None,
-                None,
-                &ReactorConfig::default(),
-            )
-        });
+        let server = scope.spawn(move |_| serve_listener(engine, listener, None, None));
         let mut stream = loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => break stream,
@@ -171,33 +161,32 @@ fn crash_point_sweep_replays_bit_identically_at_every_boundary() {
     let _ = std::fs::remove_dir_all(&reference_dir);
 }
 
-/// The crash-point sweep again, but with every run served by the epoll
-/// reactor over TCP instead of the blocking stdio loop.  This pins the
-/// evented transport to the exact same durable semantics: a kill at any
-/// WAL/checkpoint boundary, followed by a restart behind a fresh evented
-/// server, replays byte-identically with the uninterrupted blocking run.
-#[cfg(target_os = "linux")]
+/// The crash-point sweep again, but with every run served over TCP instead
+/// of the stdio loop.  This pins the TCP transport to the exact same
+/// durable semantics: a kill at any WAL/checkpoint boundary, followed by a
+/// restart behind a fresh TCP server, replays byte-identically with the
+/// uninterrupted stdio run.
 #[test]
-fn crash_point_sweep_over_the_evented_server_matches_the_blocking_run() {
-    // Reference from the *blocking* path — parity across transports and
-    // across crashes in one assertion.
-    let reference_dir = scratch_dir("esweep-ref");
+fn crash_point_sweep_over_tcp_matches_the_stdio_run() {
+    // Reference from the stdio loop — parity across transports and across
+    // crashes in one assertion.
+    let reference_dir = scratch_dir("tcp-sweep-ref");
     let reference = run_lines(&frozen_engine(&reference_dir), SCRIPT);
     for line in &reference {
         assert!(line.contains(r#""ok":true"#), "reference failed: {line}");
     }
 
     for crash_at in 1..SCRIPT.len() {
-        let dir = scratch_dir(&format!("esweep-{crash_at}"));
+        let dir = scratch_dir(&format!("tcp-sweep-{crash_at}"));
         {
             let engine = frozen_engine(&dir);
-            let prefix = run_lines_evented(&engine, &SCRIPT[..crash_at]);
+            let prefix = run_lines_tcp(&engine, &SCRIPT[..crash_at]);
             assert_eq!(prefix, reference[..crash_at].to_vec(), "prefix differs");
         }
         let revived = frozen_engine(&dir);
         let mut suffix_lines = vec![SCRIPT[0]];
         suffix_lines.extend_from_slice(&SCRIPT[crash_at..]);
-        let responses = run_lines_evented(&revived, &suffix_lines);
+        let responses = run_lines_tcp(&revived, &suffix_lines);
         assert!(
             responses[0].contains(r#""ok":true"#),
             "crash@{crash_at}: pool reload failed: {}",
@@ -206,7 +195,7 @@ fn crash_point_sweep_over_the_evented_server_matches_the_blocking_run() {
         assert_eq!(
             responses[1..].to_vec(),
             reference[crash_at..].to_vec(),
-            "crash@{crash_at}: evented post-restart responses diverged"
+            "crash@{crash_at}: TCP post-restart responses diverged"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -22,7 +22,8 @@ fn serve(engine: &Engine, lines: &[String]) -> Vec<String> {
     let mut script = lines.join("\n");
     script.push('\n');
     let mut output = Vec::new();
-    serve_lines(engine, Cursor::new(script), &mut output).expect("transport must not error");
+    serve_lines(engine, Cursor::new(script), &mut output, None, None)
+        .expect("transport must not error");
     String::from_utf8(output)
         .expect("responses must be UTF-8")
         .lines()
@@ -279,7 +280,8 @@ fn overlong_lines_get_a_structured_kind_and_do_not_wedge_the_stream() {
     script.extend_from_slice(b"\n{\"cmd\":\"sessions\"}\n");
 
     let mut output = Vec::new();
-    serve_lines(&engine, Cursor::new(script), &mut output).expect("transport must not error");
+    serve_lines(&engine, Cursor::new(script), &mut output, None, None)
+        .expect("transport must not error");
     let text = String::from_utf8(output).expect("responses must be UTF-8");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 3, "one response per line:\n{text}");

@@ -19,7 +19,14 @@ const METHODS: [&str; 4] = ["oasis", "passive", "importance", "stratified"];
 
 fn run_script(engine: &Engine, script: &str) -> Vec<String> {
     let mut output = Vec::new();
-    serve_lines(engine, Cursor::new(script.to_string()), &mut output).unwrap();
+    serve_lines(
+        engine,
+        Cursor::new(script.to_string()),
+        &mut output,
+        None,
+        None,
+    )
+    .unwrap();
     String::from_utf8(output)
         .unwrap()
         .lines()

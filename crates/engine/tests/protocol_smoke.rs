@@ -29,7 +29,8 @@ const GOLDEN_SHARDED_FRAGMENT: &str = r#""f_measure":0.9313493268593968"#;
 fn scripted_smoke_session_reproduces_the_golden_estimate_lines() {
     let engine = Engine::new();
     let mut output = Vec::new();
-    let shutdown = serve_lines(&engine, Cursor::new(SMOKE_SCRIPT), &mut output).unwrap();
+    let shutdown =
+        serve_lines(&engine, Cursor::new(SMOKE_SCRIPT), &mut output, None, None).unwrap();
     assert!(shutdown, "the script ends with a shutdown command");
 
     let text = String::from_utf8(output).unwrap();
@@ -80,7 +81,14 @@ fn kill_and_replay_smoke_script_reproduces_the_golden_estimate_and_interval() {
     {
         let engine = Engine::new().with_store(Arc::new(FsCheckpointStore::open(&dir).unwrap()));
         let mut output = Vec::new();
-        serve_lines(&engine, Cursor::new(DURABLE_BEFORE_KILL), &mut output).unwrap();
+        serve_lines(
+            &engine,
+            Cursor::new(DURABLE_BEFORE_KILL),
+            &mut output,
+            None,
+            None,
+        )
+        .unwrap();
         let text = String::from_utf8(output).unwrap();
         assert_eq!(
             text.lines().count(),
@@ -105,7 +113,14 @@ fn kill_and_replay_smoke_script_reproduces_the_golden_estimate_and_interval() {
     // checkpoint + WAL suffix for both sessions.
     let engine = Engine::new().with_store(Arc::new(FsCheckpointStore::open(&dir).unwrap()));
     let mut output = Vec::new();
-    let shutdown = serve_lines(&engine, Cursor::new(DURABLE_AFTER_RESTART), &mut output).unwrap();
+    let shutdown = serve_lines(
+        &engine,
+        Cursor::new(DURABLE_AFTER_RESTART),
+        &mut output,
+        None,
+        None,
+    )
+    .unwrap();
     assert!(shutdown, "the restart script ends with a shutdown command");
     let text = String::from_utf8(output).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -163,7 +178,7 @@ fn kill_and_replay_smoke_script_reproduces_the_golden_estimate_and_interval() {
         )
     );
     let mut output = Vec::new();
-    serve_lines(&reference, Cursor::new(script), &mut output).unwrap();
+    serve_lines(&reference, Cursor::new(script), &mut output, None, None).unwrap();
     let text = String::from_utf8(output).unwrap();
     let reference_lines: Vec<&str> = text.lines().collect();
     assert_eq!(
@@ -194,7 +209,7 @@ fn unknown_methods_are_rejected_with_a_protocol_error() {
         "\n",
     );
     let mut output = Vec::new();
-    serve_lines(&engine, Cursor::new(script), &mut output).unwrap();
+    serve_lines(&engine, Cursor::new(script), &mut output, None, None).unwrap();
     let text = String::from_utf8(output).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 3);

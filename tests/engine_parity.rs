@@ -165,7 +165,14 @@ fn render_bools(bits: &[bool]) -> String {
 
 fn run_script(engine: &Engine, script: &str) -> Vec<String> {
     let mut output = Vec::new();
-    serve_lines(engine, Cursor::new(script.to_string()), &mut output).unwrap();
+    serve_lines(
+        engine,
+        Cursor::new(script.to_string()),
+        &mut output,
+        None,
+        None,
+    )
+    .unwrap();
     String::from_utf8(output)
         .unwrap()
         .lines()
