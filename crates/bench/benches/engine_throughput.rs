@@ -18,12 +18,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_core::datasets::DatasetProfile;
 use experiments::pools::direct_pool;
-use oasis::oracle::GroundTruthOracle;
-use oasis::samplers::{
-    CategoricalCdf, FenwickTree, InteractiveSampler, OasisConfig, OasisSampler, SamplerMethod,
-};
+use oasis::samplers::{CategoricalCdf, FenwickTree, InteractiveSampler, OasisConfig, OasisSampler};
 use oasis_engine::protocol::{dispatch, Request};
-use oasis_engine::{Engine, LabelSource, MetricsRegistry, SessionJob};
+use oasis_engine::{Engine, MetricsRegistry, SessionJob, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -67,14 +64,11 @@ fn build_engine(pool: &experiments::pools::ExperimentPool) -> (Engine, Vec<Sessi
     for i in 0..SESSIONS as u64 {
         let id = format!("s{i}");
         engine
-            .create_session(
-                &id,
-                "cora",
-                SamplerMethod::Oasis,
-                config.clone(),
-                2017 + i,
-                LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-            )
+            .create_session(SessionSpec {
+                config: config.clone(),
+                truth: Some(pool.truth.clone()),
+                ..SessionSpec::new(&id, "cora", 2017 + i)
+            })
             .unwrap();
         jobs.push(SessionJob::Steps {
             session: id,
@@ -187,14 +181,10 @@ fn build_external_engine(pool: &experiments::pools::ExperimentPool, instrumented
     };
     engine.load_pool("cora", pool.pool.clone()).unwrap();
     engine
-        .create_session(
-            "s",
-            "cora",
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(30),
-            2017,
-            LabelSource::external(pool.pool.len()),
-        )
+        .create_session(SessionSpec {
+            config: OasisConfig::default().with_strata_count(30),
+            ..SessionSpec::new("s", "cora", 2017)
+        })
         .unwrap();
     engine
 }

@@ -255,8 +255,8 @@ impl FromJson for SessionCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{LabelSource, Session};
-    use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod};
+    use crate::session::{Session, SessionSpec};
+    use oasis::OasisConfig;
     use std::sync::Arc;
 
     fn pool_and_truth(n: usize, seed: u64) -> (Arc<ScoredPool>, Vec<bool>) {
@@ -275,25 +275,22 @@ mod tests {
     fn checkpoint_json_round_trip_is_exact() {
         let (pool, truth) = pool_and_truth(600, 3);
         let mut session = Session::new(
-            "s1",
-            "p1",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(8),
+                truth: Some(truth),
+                ..SessionSpec::new("s1", "p1", 42)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            42,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.step(120).unwrap();
         // Leave a suspended ticket in flight so the pending path is exercised.
         let mut external = Session::new(
-            "s2",
-            "p1",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(8),
+                ..SessionSpec::new("s2", "p1", 43)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            43,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         external.propose(3).unwrap();
@@ -312,26 +309,24 @@ mod tests {
 
         // Uninterrupted: 500 steps straight through.
         let mut straight = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: config.clone(),
+                truth: Some(truth.clone()),
+                ..SessionSpec::new("s", "p", 2017)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            config.clone(),
-            2017,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
         )
         .unwrap();
         let expected = straight.step(500).unwrap();
 
         // Interrupted at step 180: checkpoint → JSON → restore → continue.
         let mut interrupted = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config,
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 2017)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            config,
-            2017,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         interrupted.step(180).unwrap();
@@ -352,13 +347,12 @@ mod tests {
         let (pool, truth) = pool_and_truth(400, 5);
         let (other, _) = pool_and_truth(400, 6);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 1)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(6),
-            1,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.step(20).unwrap();
@@ -376,13 +370,12 @@ mod tests {
         // restore (they would panic a later apply_labels).
         let (pool, truth) = pool_and_truth(300, 8);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(5),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 3)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(5),
-            3,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.step(10).unwrap();
@@ -404,44 +397,26 @@ mod tests {
     #[test]
     fn session_new_rejects_label_sources_that_do_not_cover_the_pool() {
         let (pool, truth) = pool_and_truth(200, 9);
-        let short_bitmap = LabelSource::External {
-            labelled: vec![false; 10],
-            distinct: 0,
+        let short_truth = SessionSpec {
+            config: OasisConfig::default().with_strata_count(4),
+            truth: Some(truth[..50].to_vec()),
+            ..SessionSpec::new("s", "p", 1)
         };
-        assert!(Session::new(
-            "s",
-            "p",
-            Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            1,
-            short_bitmap
-        )
-        .is_err());
-        let short_truth = LabelSource::GroundTruth(GroundTruthOracle::new(truth[..50].to_vec()));
-        assert!(Session::new(
-            "s",
-            "p",
-            pool,
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            1,
-            short_truth
-        )
-        .is_err());
+        assert!(matches!(
+            Session::new(short_truth, pool),
+            Err(crate::error::EngineError::InvalidLabelSource(_))
+        ));
     }
 
     #[test]
     fn restore_sanitises_budget_and_weights() {
         let (pool, _) = pool_and_truth(200, 10);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                ..SessionSpec::new("s", "p", 5)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            5,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         session.propose(2).unwrap();
@@ -470,13 +445,11 @@ mod tests {
     fn restore_rejects_duplicate_or_reissuable_ticket_ids() {
         let (pool, _) = pool_and_truth(200, 11);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                ..SessionSpec::new("s", "p", 6)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            6,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         session.propose(2).unwrap();
@@ -499,13 +472,12 @@ mod tests {
     fn restore_rejects_corrupt_estimator_sums() {
         let (pool, truth) = pool_and_truth(200, 12);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 7)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            7,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.step(20).unwrap();

@@ -10,10 +10,10 @@
 use crate::checkpoint::SessionCheckpoint;
 use crate::error::{EngineError, EngineResult};
 use crate::metrics::{Clock, Counter, MetricsRegistry, MonotonicClock};
-use crate::session::{LabelSource, Session, SessionLimits};
+use crate::session::{Session, SessionSpec};
 use crate::store::{parse_envelope, render_envelope, CheckpointStore};
-use crate::wal::{self, WalEntry, WalRecord};
-use oasis::{Estimate, OasisConfig, SamplerMethod, ScoredPool};
+use crate::wal::{self, Applied, WalEntry, WalRecord};
+use oasis::{Estimate, SamplerMethod, ScoredPool};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -69,14 +69,6 @@ pub enum SessionJob {
         /// Iteration cap.
         max_steps: usize,
     },
-}
-
-impl SessionJob {
-    fn session_id(&self) -> &str {
-        match self {
-            SessionJob::Steps { session, .. } | SessionJob::Budget { session, .. } => session,
-        }
-    }
 }
 
 /// Per-session durability bookkeeping (next WAL sequence number, dirtiness,
@@ -215,13 +207,6 @@ impl Engine {
         Arc::clone(&self.metrics)
     }
 
-    /// The current lease-clock reading in microseconds.  The protocol layer
-    /// reads it once per propose on lease-enabled sessions and WAL-logs the
-    /// value, so replay expires exactly what the live run expired.
-    pub fn lease_now(&self) -> u64 {
-        self.lease_clock.now_micros()
-    }
-
     /// Run `op`, retrying [`EngineError::StoreTransient`] failures under the
     /// engine's [`RetryPolicy`] with deterministic doubling backoff.  An
     /// exhausted budget promotes the fault to a permanent
@@ -288,104 +273,28 @@ impl Engine {
         ids
     }
 
-    /// Create a session over a loaded pool, running the given sampling
-    /// method (see [`oasis::AnySampler::build`] for how the shared config
-    /// maps onto each method).
+    /// Create the session `spec` describes over its (loaded) pool.
     ///
     /// # Errors
-    /// Unknown pool, duplicate session id, or sampler construction failure.
-    pub fn create_session(
-        &self,
-        session_id: impl Into<String>,
-        pool_id: &str,
-        method: SamplerMethod,
-        config: OasisConfig,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<()> {
-        self.create_session_sharded(session_id, pool_id, method, config, None, seed, source)
-    }
-
-    /// Create a session like [`Engine::create_session`], optionally sharding
-    /// the pool into `shards` partitions with per-shard strata and samplers
-    /// (see [`Session::new_sharded`]).  The session still speaks every
-    /// protocol verb unchanged; only proposal routing differs.
-    ///
-    /// # Errors
-    /// As [`Engine::create_session`], plus rejection of `Some(0)` or more
-    /// shards than pool items.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_session_sharded(
-        &self,
-        session_id: impl Into<String>,
-        pool_id: &str,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<()> {
-        self.create_session_with_limits(
-            session_id,
-            pool_id,
-            method,
-            config,
-            shards,
-            seed,
-            source,
-            SessionLimits::default(),
-        )
-    }
-
-    /// Create a session like [`Engine::create_session_sharded`], additionally
-    /// applying robustness [`SessionLimits`]: a propose-lease timeout and/or
-    /// a pending-ticket cap.
-    ///
-    /// # Errors
-    /// As [`Engine::create_session_sharded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn create_session_with_limits(
-        &self,
-        session_id: impl Into<String>,
-        pool_id: &str,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-        limits: SessionLimits,
-    ) -> EngineResult<()> {
-        let session_id = session_id.into();
-        let pool = self.pool(pool_id)?;
+    /// Unknown pool, duplicate session id, or any [`Session::new`] failure.
+    pub fn create_session(&self, spec: SessionSpec) -> EngineResult<()> {
+        let pool = self.pool(&spec.pool)?;
         // Fail fast on an obvious duplicate, but do the expensive sampler
         // construction (stratification is O(N log N)) outside any lock so
         // concurrent traffic on other sessions is not stalled.
-        if self.sessions.read().contains_key(&session_id) {
-            return Err(EngineError::DuplicateId(session_id));
-        }
-        self.reject_stored_duplicate(&session_id)?;
-        let session = Session::new_with_limits(
-            session_id.clone(),
-            pool_id,
-            pool,
-            method,
-            config,
-            shards,
-            seed,
-            source,
-            limits,
-        )?;
-        if shards.is_some() {
-            self.metrics.incr(Counter::ShardedSession);
-        }
-        self.register(session_id, session)
+        self.reject_duplicate(&spec.id)?;
+        self.register(Session::new(spec, pool)?)
     }
 
-    /// A stored-but-evicted session owns its id just as a resident one does.
-    fn reject_stored_duplicate(&self, session_id: &str) -> EngineResult<()> {
+    /// A resident or stored-but-evicted session owns its id.
+    fn reject_duplicate(&self, session_id: &str) -> EngineResult<()> {
+        let duplicate = || Err(EngineError::DuplicateId(session_id.to_string()));
+        if self.sessions.read().contains_key(session_id) {
+            return duplicate();
+        }
         if let Some(store) = &self.store {
             if store.load_checkpoint(session_id)?.is_some() {
-                return Err(EngineError::DuplicateId(session_id.to_string()));
+                return duplicate();
             }
         }
         Ok(())
@@ -393,7 +302,8 @@ impl Engine {
 
     /// Register a freshly built session; with a store attached, write its
     /// base checkpoint first so the WAL always has something to replay onto.
-    fn register(&self, session_id: String, session: Session) -> EngineResult<()> {
+    fn register(&self, session: Session) -> EngineResult<()> {
+        let session_id = session.id().to_string();
         if let Some(store) = &self.store {
             let timer = self.metrics.timer();
             let document = render_envelope(&session.checkpoint(), 0);
@@ -404,20 +314,37 @@ impl Engine {
             self.metrics.incr(Counter::CheckpointWrite);
             self.metrics.record("checkpoint.write", timer);
         }
-        let handle = Arc::new(Mutex::new(session));
-        {
-            let mut sessions = self.sessions.write();
-            if sessions.contains_key(&session_id) {
-                return Err(EngineError::DuplicateId(session_id));
-            }
-            sessions.insert(session_id.clone(), handle);
-            let mut meta = self.meta.lock();
-            let slot = meta.entry(session_id).or_default();
-            slot.wal_seq = 0;
-            slot.dirty = false;
-            slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
-        }
+        self.make_resident(session, 0, false)
+            .map_err(|_| EngineError::DuplicateId(session_id))?;
         self.enforce_resident_cap()
+    }
+
+    /// Insert a session into the resident registry with its WAL position,
+    /// counting it as sharded when it runs over more than one shard.  Hands
+    /// back the already-resident session instead when the id is taken.
+    fn make_resident(
+        &self,
+        session: Session,
+        wal_seq: u64,
+        dirty: bool,
+    ) -> Result<Arc<Mutex<Session>>, Arc<Mutex<Session>>> {
+        let session_id = session.id().to_string();
+        let sharded = session.shard_count() > 1;
+        let mut sessions = self.sessions.write();
+        if let Some(existing) = sessions.get(&session_id) {
+            return Err(Arc::clone(existing));
+        }
+        let handle = Arc::new(Mutex::new(session));
+        sessions.insert(session_id.clone(), Arc::clone(&handle));
+        let mut meta = self.meta.lock();
+        let slot = meta.entry(session_id).or_default();
+        slot.wal_seq = wal_seq;
+        slot.dirty = dirty;
+        slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
+        if sharded {
+            self.metrics.incr(Counter::ShardedSession);
+        }
+        Ok(handle)
     }
 
     /// Restore a session from a checkpoint; the checkpointed pool id must be
@@ -431,24 +358,17 @@ impl Engine {
         session_id: impl Into<String>,
         checkpoint: SessionCheckpoint,
     ) -> EngineResult<()> {
-        let session_id = session_id.into();
         let pool = self.pool(&checkpoint.pool_id)?;
-        if self.sessions.read().contains_key(&session_id) {
-            return Err(EngineError::DuplicateId(session_id));
-        }
-        self.reject_stored_duplicate(&session_id)?;
+        let mut checkpoint = checkpoint;
+        checkpoint.session_id = session_id.into();
+        self.reject_duplicate(&checkpoint.session_id)?;
         // Fingerprint verification and sampler reconstruction are O(N);
         // keep them outside the write lock (same pattern as create_session).
-        let mut checkpoint = checkpoint;
-        checkpoint.session_id = session_id.clone();
         let timer = self.metrics.timer();
         let session = Session::restore(checkpoint, pool)?;
         self.metrics.incr(Counter::CheckpointRestore);
-        if session.shard_count() > 1 {
-            self.metrics.incr(Counter::ShardedSession);
-        }
         self.metrics.record("checkpoint.restore", timer);
-        self.register(session_id, session)
+        self.register(session)
     }
 
     /// Fetch a session handle.  With a store attached, a stored-but-evicted
@@ -525,39 +445,27 @@ impl Engine {
         let applied = wal::replay(&mut session, &outcome.records, wal_seq)?;
         self.metrics.incr(Counter::Rehydration);
         self.metrics.incr(Counter::CheckpointRestore);
-        if session.shard_count() > 1 {
-            self.metrics.incr(Counter::ShardedSession);
-        }
         self.metrics.add(Counter::WalReplay, applied as u64);
         self.metrics.record("rehydrate", timer);
         let report = ReplayReport {
             replayed: applied,
             truncated_tail: outcome.truncated_tail.is_some(),
         };
-
-        let handle = Arc::new(Mutex::new(session));
-        {
-            let mut sessions = self.sessions.write();
-            if let Some(existing) = sessions.get(id) {
-                // Lost a rehydration race; the winner's copy (and its meta,
-                // possibly already advanced by new WAL appends) is the truth.
-                return Ok((
-                    Arc::clone(existing),
-                    ReplayReport {
-                        replayed: 0,
-                        truncated_tail: false,
-                    },
-                ));
+        match self.make_resident(session, wal_seq + applied as u64, applied > 0) {
+            Ok(handle) => {
+                self.enforce_resident_cap()?;
+                Ok((handle, report))
             }
-            sessions.insert(id.to_string(), Arc::clone(&handle));
-            let mut meta = self.meta.lock();
-            let slot = meta.entry(id.to_string()).or_default();
-            slot.wal_seq = wal_seq + applied as u64;
-            slot.dirty = applied > 0;
-            slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
+            // Lost a rehydration race; the winner's copy (and its meta,
+            // possibly already advanced by new WAL appends) is the truth.
+            Err(existing) => {
+                let report = ReplayReport {
+                    replayed: 0,
+                    truncated_tail: false,
+                };
+                Ok((existing, report))
+            }
         }
-        self.enforce_resident_cap()?;
-        Ok((handle, report))
     }
 
     /// Explicitly rehydrate a session from the store (the `restore_from`
@@ -611,19 +519,94 @@ impl Engine {
         Ok(wal_seq)
     }
 
+    /// Apply one mutation to a session — the path every live propose,
+    /// label, step, run-budget and lease sweep takes.  Under the session
+    /// lock it stamps the lease-clock reading into the entry (a propose
+    /// reads the clock only on lease-enabled sessions, so lease-free
+    /// sessions keep byte-identical WAL lines; an expire always reads it),
+    /// write-ahead logs the entry, runs it through [`WalEntry::apply`],
+    /// counts it, and hands the session and the outcome to `render` before
+    /// the lock is released.  Replay runs the same [`WalEntry::apply`]
+    /// without logging or counting.
+    ///
+    /// # Errors
+    /// Unknown session, a failed WAL append (the session is untouched), or
+    /// the mutation's own error — logged first, so replay reproduces it.
+    pub(crate) fn mutate<R>(
+        &self,
+        session_id: &str,
+        mut entry: WalEntry,
+        render: impl FnOnce(&Session, Applied) -> R,
+    ) -> EngineResult<R> {
+        let timer = self.metrics.timer();
+        let handle = self.session(session_id)?;
+        let mut session = handle.lock();
+        match &mut entry {
+            WalEntry::Propose { now_us, .. } => {
+                *now_us = session
+                    .limits()
+                    .lease_timeout_us
+                    .map(|_| self.lease_clock.now_micros());
+            }
+            WalEntry::Expire { now_us } => *now_us = self.lease_clock.now_micros(),
+            _ => {}
+        }
+        self.log_wal(session_id, &entry)?;
+        let pending = session.pending_count();
+        let applied = entry.apply(&mut session).inspect_err(|_| {
+            // A failed mutation leaves the queue alone, except a propose
+            // rejected by backpressure after sweeping expired leases: those
+            // expiries happened (and replay repeats them), so count them.
+            let swept = pending - session.pending_count();
+            self.metrics.add(Counter::LeaseExpiry, swept as u64);
+        })?;
+        let metrics = &self.metrics;
+        let routed = match &applied {
+            Applied::Proposed { expired, tickets } => {
+                metrics.add(Counter::LeaseExpiry, expired.len() as u64);
+                metrics.add(Counter::Propose, tickets.len() as u64);
+                Some(tickets.len())
+            }
+            // A lease sweep is counted but not timed.
+            Applied::Expired(expired) => {
+                metrics.add(Counter::LeaseExpiry, expired.len() as u64);
+                None
+            }
+            Applied::Labelled(labels) => {
+                metrics.add(Counter::Label, *labels as u64);
+                Some(0)
+            }
+            Applied::Ran { steps, .. } => {
+                match entry {
+                    WalEntry::RunBudget { .. } => metrics.incr(Counter::RunBudget),
+                    _ => metrics.add(Counter::Step, *steps as u64),
+                }
+                Some(*steps)
+            }
+        };
+        if let Some(routed) = routed {
+            if session.shard_count() > 1 {
+                metrics.add(Counter::ShardRoute, routed as u64);
+            }
+            let method = session.method().as_str();
+            metrics.record(&format!("{}.{method}", entry.op()), timer);
+        }
+        Ok(render(&session, applied))
+    }
+
     /// Append a mutation record to a session's write-ahead log, assigning
-    /// the next sequence number.  MUST be called with the session's mutex
-    /// held and *before* the mutation is applied — that ordering is what
-    /// makes the log a write-*ahead* log and keeps concurrent batches in
-    /// application order.  No-op (except dirtiness tracking) without a
-    /// store.
-    pub(crate) fn log_wal(&self, session_id: &str, entry: WalEntry) -> EngineResult<()> {
+    /// the next sequence number.  Called only by [`Engine::mutate`], with
+    /// the session's mutex held and *before* the mutation is applied — that
+    /// ordering is what makes the log a write-*ahead* log and keeps
+    /// concurrent batches in application order.  No-op (except dirtiness
+    /// tracking) without a store.
+    fn log_wal(&self, session_id: &str, entry: &WalEntry) -> EngineResult<()> {
         let mut meta = self.meta.lock();
         let slot = meta.entry(session_id.to_string()).or_default();
         if let Some(store) = &self.store {
             let record = WalRecord {
                 seq: slot.wal_seq,
-                entry,
+                entry: entry.clone(),
             };
             let line = record.render();
             let timer = self.metrics.timer();
@@ -789,41 +772,31 @@ impl Engine {
     }
 
     fn run_job(&self, job: &SessionJob) -> EngineResult<Estimate> {
-        let session = self.session(job.session_id())?;
-        let mut session = session.lock();
-        let before = session.estimate().iterations;
-        let outcome = match job {
-            SessionJob::Steps { steps, .. } => {
-                self.log_wal(job.session_id(), WalEntry::Step { steps: *steps })?;
-                session.step(*steps)
-            }
+        let (session, entry) = match job {
+            SessionJob::Steps { session, steps } => (session, WalEntry::Step { steps: *steps }),
             SessionJob::Budget {
-                budget, max_steps, ..
-            } => {
-                self.log_wal(
-                    job.session_id(),
-                    WalEntry::RunBudget {
-                        label_budget: *budget,
-                        max_steps: *max_steps,
-                    },
-                )?;
-                session.run_until_budget(*budget, *max_steps)
-            }
+                session,
+                budget,
+                max_steps,
+            } => (
+                session,
+                WalEntry::RunBudget {
+                    label_budget: *budget,
+                    max_steps: *max_steps,
+                },
+            ),
         };
-        if session.shard_count() > 1 {
-            if let Ok(estimate) = &outcome {
-                self.metrics
-                    .add(Counter::ShardRoute, (estimate.iterations - before) as u64);
-            }
-        }
-        outcome
+        self.mutate(session, entry, |_, applied| match applied {
+            Applied::Ran { estimate, .. } => estimate,
+            other => unreachable!("a step entry applied as {other:?}"),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis::{GroundTruthOracle, OasisSampler, Sampler};
+    use oasis::{GroundTruthOracle, OasisConfig, OasisSampler, Sampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -845,24 +818,14 @@ mod tests {
         assert_eq!(engine.pool_ids(), vec!["p".to_string()]);
 
         engine
-            .create_session(
-                "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(4),
-                1,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            .create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 1)
+            })
             .unwrap();
         assert!(matches!(
-            engine.create_session(
-                "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default(),
-                1,
-                LabelSource::external(300)
-            ),
+            engine.create_session(SessionSpec::new("s", "p", 1)),
             Err(EngineError::DuplicateId(_))
         ));
         assert_eq!(engine.session_ids(), vec!["s".to_string()]);
@@ -871,6 +834,18 @@ mod tests {
             engine.delete_session("s"),
             Err(EngineError::UnknownSession(_))
         ));
+    }
+
+    #[test]
+    fn parallel_jobs_are_counted_like_step_requests() {
+        let (pool, truth) = pool_and_truth(300, 5);
+        let engine = Engine::new();
+        engine.load_pool("p", pool).unwrap();
+        oracle_session(&engine, "s", &truth, 1);
+        engine.run_parallel(&steps_job("s", 40), 1).unwrap();
+        assert_eq!(engine.metrics().counter(Counter::Step), 40);
+        let samples = engine.metrics().histogram("step.oasis").map(|h| h.count());
+        assert_eq!(samples, Some(1));
     }
 
     #[test]
@@ -894,14 +869,11 @@ mod tests {
         engine.load_pool("p", pool).unwrap();
         for &seed in &seeds {
             engine
-                .create_session(
-                    format!("s{seed}"),
-                    "p",
-                    SamplerMethod::Oasis,
-                    config.clone(),
-                    seed,
-                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
-                )
+                .create_session(SessionSpec {
+                    config: config.clone(),
+                    truth: Some(truth.clone()),
+                    ..SessionSpec::new(format!("s{seed}"), "p", seed)
+                })
                 .unwrap();
         }
         let jobs: Vec<SessionJob> = seeds
@@ -926,14 +898,11 @@ mod tests {
         let engine = Engine::new();
         engine.load_pool("p", pool).unwrap();
         engine
-            .create_session(
-                "good",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
-                5,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            .create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                truth: Some(truth),
+                ..SessionSpec::new("good", "p", 5)
+            })
             .unwrap();
         let jobs = vec![
             SessionJob::Budget {
@@ -970,14 +939,11 @@ mod tests {
 
     fn oracle_session(engine: &Engine, id: &str, truth: &[bool], seed: u64) {
         engine
-            .create_session(
-                id,
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.to_vec())),
-            )
+            .create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                truth: Some(truth.to_vec()),
+                ..SessionSpec::new(id, "p", seed)
+            })
             .unwrap();
     }
 
@@ -1240,14 +1206,11 @@ mod tests {
         let engine = durable_engine(&store);
         engine.load_pool("p", pool).unwrap();
         assert!(matches!(
-            engine.create_session(
-                "s",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(4),
-                1,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone()))
-            ),
+            engine.create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth.clone()),
+                ..SessionSpec::new("s", "p", 1)
+            }),
             Err(EngineError::DuplicateId(_))
         ));
         // Deleting a stored-but-not-resident session clears the store entry
@@ -1265,14 +1228,11 @@ mod tests {
         let engine = Engine::new();
         engine.load_pool("p", pool).unwrap();
         engine
-            .create_session(
-                "orig",
-                "p",
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
-                9,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-            )
+            .create_session(SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                truth: Some(truth),
+                ..SessionSpec::new("orig", "p", 9)
+            })
             .unwrap();
         let handle = engine.session("orig").unwrap();
         handle.lock().step(50).unwrap();

@@ -20,7 +20,12 @@
 //!   possibly batched and out of order ([`Session::apply_labels`]).  Human
 //!   and remote oracles are first-class instead of in-process callbacks; an
 //!   in-process ground-truth oracle remains available for simulation
-//!   ([`LabelSource::GroundTruth`], [`Session::step`]).
+//!   ([`SessionSpec::truth`], [`Session::step`]).
+//! * **One construction path, one mutation path** — every session is built
+//!   from a [`SessionSpec`] (what a `create_session` line parses into), and
+//!   every live mutation — a protocol verb or a [`SessionJob`] — goes
+//!   through one engine method that write-ahead logs it, applies it
+//!   ([`WalEntry::apply`]) and counts it; replay runs the same `apply`.
 //! * **Checkpoints** ([`SessionCheckpoint`]) — the method-tagged sampler
 //!   state ([`oasis::SamplerState`]), variance-tracker sums, RNG state
 //!   words, pending tickets and oracle/budget state snapshot to JSON with
@@ -62,8 +67,8 @@
 //! ## Quick example
 //!
 //! ```
-//! use oasis::{OasisConfig, SamplerMethod, ScoredPool};
-//! use oasis_engine::{Engine, LabelSource};
+//! use oasis::{OasisConfig, ScoredPool};
+//! use oasis_engine::{Engine, SessionSpec};
 //!
 //! let engine = Engine::new();
 //! engine
@@ -72,15 +77,13 @@
 //!         ScoredPool::new(vec![0.9, 0.8, 0.2, 0.1], vec![true, true, false, false]).unwrap(),
 //!     )
 //!     .unwrap();
+//! // OASIS, flat, labelled from outside: the defaults of a minimal
+//! // `create_session` line, with two strata.
 //! engine
-//!     .create_session(
-//!         "s1",
-//!         "demo",
-//!         SamplerMethod::Oasis,
-//!         OasisConfig::default().with_strata_count(2),
-//!         42,
-//!         LabelSource::external(4),
-//!     )
+//!     .create_session(SessionSpec {
+//!         config: OasisConfig::default().with_strata_count(2),
+//!         ..SessionSpec::new("s1", "demo", 42)
+//!     })
 //!     .unwrap();
 //!
 //! // Suspend at a label request…
@@ -117,7 +120,7 @@ pub use fault::{FaultKind, FaultyStore, StoreOp};
 pub use guard::{ClientPolicy, ConnState};
 pub use log::{EventLog, LogFormat};
 pub use metrics::{Clock, Counter, LatencyHistogram, ManualClock, MetricsRegistry, MonotonicClock};
-pub use session::{LabelSource, Session, SessionLimits, Ticket};
+pub use session::{Session, SessionLimits, SessionSpec, Ticket};
 pub use store::{CheckpointStore, FsCheckpointStore, STORE_FORMAT};
 pub use wal::{WalEntry, WalParseOutcome, WalRecord};
 

@@ -52,10 +52,9 @@
 use crate::checkpoint::SessionCheckpoint;
 use crate::engine::Engine;
 use crate::error::{EngineError, EngineResult};
-use crate::metrics::Counter;
-use crate::session::{LabelSource, Session, SessionLimits, Ticket};
-use crate::wal::WalEntry;
-use oasis::{GroundTruthOracle, OasisConfig, SamplerMethod, ScoredPool};
+use crate::session::{Session, SessionSpec};
+use crate::wal::{Applied, WalEntry};
+use oasis::{OasisConfig, SamplerMethod, ScoredPool};
 use serde::json::{FromJson, Json, ToJson};
 
 /// A parsed protocol request.
@@ -70,27 +69,8 @@ pub enum Request {
         /// Predicted labels.
         predictions: Vec<bool>,
     },
-    /// Create a session.
-    CreateSession {
-        /// Session id.
-        session: String,
-        /// Pool id to evaluate.
-        pool: String,
-        /// RNG seed.
-        seed: u64,
-        /// Sampling method (`"oasis"` when omitted).
-        method: SamplerMethod,
-        /// Sampler configuration (defaults for missing keys).
-        config: OasisConfig,
-        /// Optional shard count: partition the pool into this many shards,
-        /// each with its own strata and inner sampler (`None` = flat).
-        shards: Option<usize>,
-        /// Optional hidden ground truth, enabling `step`/`run_budget`.
-        truth: Option<Vec<bool>>,
-        /// Robustness limits: propose-lease timeout and pending-ticket cap
-        /// (both off by default, preserving legacy wire behaviour).
-        limits: SessionLimits,
-    },
+    /// Create a session.  Optional fields default as in [`SessionSpec::new`].
+    CreateSession(SessionSpec),
     /// Draw `count` items to label.
     Propose {
         /// Session id.
@@ -187,6 +167,13 @@ pub const MAX_PROPOSE_COUNT: usize = 100_000;
 /// Largest number of iterations a single `step`/`run_budget` request may run.
 pub const MAX_STEPS_PER_REQUEST: usize = 100_000_000;
 
+fn at_least_one<T: Default + PartialEq>(value: T, what: &str) -> EngineResult<T> {
+    if value == T::default() {
+        return Err(EngineError::Protocol(format!("{what} must be at least 1")));
+    }
+    Ok(value)
+}
+
 fn bounded(value: usize, limit: usize, what: &str) -> EngineResult<usize> {
     if value > limit {
         return Err(EngineError::Protocol(format!(
@@ -210,64 +197,36 @@ impl Request {
                 scores: Vec::<f64>::from_json(value.require("scores")?)?,
                 predictions: Vec::<bool>::from_json(value.require("predictions")?)?,
             }),
-            "create_session" => Ok(Request::CreateSession {
-                session: string_field(&value, "session")?,
-                pool: string_field(&value, "pool")?,
-                seed: value.require("seed")?.as_u64()?,
-                method: match value.get("method") {
+            "create_session" => {
+                let mut spec = SessionSpec::new(
+                    string_field(&value, "session")?,
+                    string_field(&value, "pool")?,
+                    value.require("seed")?.as_u64()?,
+                );
+                if let Some(method) = value.get("method") {
                     // Surface the unknown-method message as a structured
                     // protocol error rather than a generic JSON one.
-                    Some(method) => SamplerMethod::parse(method.as_str()?)
-                        .map_err(|e| EngineError::Protocol(e.to_string()))?,
-                    None => SamplerMethod::Oasis,
-                },
-                config: match value.get("config") {
-                    Some(config) => OasisConfig::from_json(config)?,
-                    None => OasisConfig::default(),
-                },
-                shards: match value.get("shards") {
-                    Some(shards) => {
-                        let shards = shards.as_usize()?;
-                        if shards == 0 {
-                            return Err(EngineError::Protocol(
-                                "shards must be at least 1".to_string(),
-                            ));
-                        }
-                        Some(shards)
-                    }
-                    None => None,
-                },
-                truth: match value.get("truth") {
-                    Some(truth) => Some(Vec::<bool>::from_json(truth)?),
-                    None => None,
-                },
-                limits: SessionLimits {
-                    lease_timeout_us: match value.get("lease_timeout_us") {
-                        Some(timeout) => {
-                            let timeout = timeout.as_u64()?;
-                            if timeout == 0 {
-                                return Err(EngineError::Protocol(
-                                    "lease_timeout_us must be at least 1".to_string(),
-                                ));
-                            }
-                            Some(timeout)
-                        }
-                        None => None,
-                    },
-                    max_pending: match value.get("max_pending") {
-                        Some(cap) => {
-                            let cap = cap.as_usize()?;
-                            if cap == 0 {
-                                return Err(EngineError::Protocol(
-                                    "max_pending must be at least 1".to_string(),
-                                ));
-                            }
-                            Some(cap)
-                        }
-                        None => None,
-                    },
-                },
-            }),
+                    spec.method = SamplerMethod::parse(method.as_str()?)
+                        .map_err(|e| EngineError::Protocol(e.to_string()))?;
+                }
+                if let Some(config) = value.get("config") {
+                    spec.config = OasisConfig::from_json(config)?;
+                }
+                if let Some(shards) = value.get("shards") {
+                    spec.shards = Some(at_least_one(shards.as_usize()?, "shards")?);
+                }
+                if let Some(truth) = value.get("truth") {
+                    spec.truth = Some(Vec::<bool>::from_json(truth)?);
+                }
+                if let Some(timeout) = value.get("lease_timeout_us") {
+                    spec.limits.lease_timeout_us =
+                        Some(at_least_one(timeout.as_u64()?, "lease_timeout_us")?);
+                }
+                if let Some(cap) = value.get("max_pending") {
+                    spec.limits.max_pending = Some(at_least_one(cap.as_usize()?, "max_pending")?);
+                }
+                Ok(Request::CreateSession(spec))
+            }
             "propose" => Ok(Request::Propose {
                 session: string_field(&value, "session")?,
                 count: match value.get("count") {
@@ -349,7 +308,7 @@ impl Request {
     pub fn verb(&self) -> &'static str {
         match self {
             Request::LoadPool { .. } => "load_pool",
-            Request::CreateSession { .. } => "create_session",
+            Request::CreateSession(_) => "create_session",
             Request::Propose { .. } => "propose",
             Request::Label { .. } => "label",
             Request::Step { .. } => "step",
@@ -372,8 +331,8 @@ impl Request {
     /// The session this request addresses, if any (for the event log).
     pub fn session_id(&self) -> Option<&str> {
         match self {
-            Request::CreateSession { session, .. }
-            | Request::Propose { session, .. }
+            Request::CreateSession(spec) => Some(&spec.id),
+            Request::Propose { session, .. }
             | Request::Label { session, .. }
             | Request::Step { session, .. }
             | Request::RunBudget { session, .. }
@@ -442,12 +401,33 @@ fn estimate_response(session: &Session) -> Json {
     obj
 }
 
-fn tickets_response(session: &Session, tickets: &[Ticket]) -> Json {
-    let mut obj = ok_response();
-    obj.set("session", Json::String(session.id().to_string()));
-    obj.set("proposals", tickets.to_vec().to_json());
-    obj.set("pending", session.pending_count().to_json());
-    obj
+/// The response to a mutating request, rendered under the session lock.
+fn mutation_response(session: &Session, applied: Applied) -> Json {
+    match applied {
+        Applied::Proposed { expired, tickets } => {
+            let mut obj = ok_response();
+            obj.set("session", Json::String(session.id().to_string()));
+            obj.set("proposals", tickets.to_json());
+            obj.set("pending", session.pending_count().to_json());
+            if !expired.is_empty() {
+                obj.set("expired", expired.to_json());
+            }
+            obj
+        }
+        Applied::Expired(expired) => {
+            let mut obj = ok_response();
+            obj.set("session", Json::String(session.id().to_string()));
+            obj.set("expired", expired.to_json());
+            obj.set("pending", session.pending_count().to_json());
+            obj
+        }
+        Applied::Labelled(applied) => {
+            let mut obj = estimate_response(session);
+            obj.set("applied", applied.to_json());
+            obj
+        }
+        Applied::Ran { .. } => estimate_response(session),
+    }
 }
 
 /// Execute one parsed request against the engine.
@@ -476,146 +456,52 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
             obj.set("len", len.to_json());
             obj
         }
-        Request::CreateSession {
-            session,
-            pool,
-            seed,
-            method,
-            config,
-            shards,
-            truth,
-            limits,
-        } => {
-            let source = match truth {
-                Some(truth) => LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-                None => {
-                    let pool_len = engine.pool(&pool)?.len();
-                    LabelSource::external(pool_len)
-                }
-            };
-            engine.create_session_with_limits(
-                &session, &pool, method, config, shards, seed, source, limits,
-            )?;
+        Request::CreateSession(spec) => {
             let mut obj = ok_response();
-            obj.set("session", Json::String(session));
-            obj.set("method", method.to_json());
-            obj.set("seed", seed.to_json());
-            if let Some(shards) = shards {
+            obj.set("session", Json::String(spec.id.clone()));
+            obj.set("method", spec.method.to_json());
+            obj.set("seed", spec.seed.to_json());
+            if let Some(shards) = spec.shards {
                 obj.set("shards", shards.to_json());
             }
-            if let Some(timeout) = limits.lease_timeout_us {
+            if let Some(timeout) = spec.limits.lease_timeout_us {
                 obj.set("lease_timeout_us", timeout.to_json());
             }
-            if let Some(cap) = limits.max_pending {
+            if let Some(cap) = spec.limits.max_pending {
                 obj.set("max_pending", cap.to_json());
             }
+            engine.create_session(spec)?;
             obj
         }
-        // Every mutating arm below logs its request to the write-ahead log
-        // *after* taking the session lock (so sequence numbers match
-        // application order) and *before* mutating (so a crash mid-request
-        // replays deterministically — see `crate::wal`).  Each arm also
-        // times the mutation into a per-method latency histogram
-        // (`"<verb>.<method>"`) and bumps the matching global counter.
+        // Every mutating verb goes through `Engine::mutate`, which logs,
+        // applies and counts it under the session lock; the engine stamps
+        // the lease-clock readings into the placeholder `now_us` fields.
         Request::Propose { session, count } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            // The lease clock is read — and WAL-logged — only for sessions
-            // with a configured lease timeout, so lease-free sessions keep
-            // byte-identical WAL lines, checkpoints, and responses.
-            let now_us = guard
-                .limits()
-                .lease_timeout_us
-                .is_some()
-                .then(|| engine.lease_now());
-            engine.log_wal(&session, WalEntry::Propose { count, now_us })?;
-            let expired = match now_us {
-                Some(now) => guard.expire_leases(now),
-                None => Vec::new(),
+            let entry = WalEntry::Propose {
+                count,
+                now_us: None,
             };
-            if !expired.is_empty() {
-                engine
-                    .metrics()
-                    .add(Counter::LeaseExpiry, expired.len() as u64);
-            }
-            let tickets = guard.propose(count)?;
-            engine.metrics().add(Counter::Propose, tickets.len() as u64);
-            if guard.shard_count() > 1 {
-                engine
-                    .metrics()
-                    .add(Counter::ShardRoute, tickets.len() as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("propose.{}", guard.method().as_str()), timer);
-            let mut obj = tickets_response(&guard, &tickets);
-            if !expired.is_empty() {
-                obj.set("expired", expired.to_json());
-            }
-            obj
+            engine.mutate(&session, entry, mutation_response)?
         }
         Request::Label { session, labels } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(
-                &session,
-                WalEntry::Label {
-                    labels: labels.clone(),
-                },
-            )?;
-            let applied = guard.apply_labels(&labels)?;
-            engine.metrics().add(Counter::Label, applied as u64);
-            engine
-                .metrics()
-                .record(&format!("label.{}", guard.method().as_str()), timer);
-            let mut obj = estimate_response(&guard);
-            obj.set("applied", applied.to_json());
-            obj
+            engine.mutate(&session, WalEntry::Label { labels }, mutation_response)?
         }
         Request::Step { session, steps } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(&session, WalEntry::Step { steps })?;
-            guard.step(steps)?;
-            engine.metrics().add(Counter::Step, steps as u64);
-            if guard.shard_count() > 1 {
-                engine.metrics().add(Counter::ShardRoute, steps as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("step.{}", guard.method().as_str()), timer);
-            estimate_response(&guard)
+            engine.mutate(&session, WalEntry::Step { steps }, mutation_response)?
         }
         Request::RunBudget {
             session,
             budget,
             max_steps,
         } => {
-            let timer = engine.metrics().timer();
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            engine.log_wal(
-                &session,
-                WalEntry::RunBudget {
-                    label_budget: budget,
-                    max_steps,
-                },
-            )?;
-            let before = guard.estimate().iterations;
-            let estimate = guard.run_until_budget(budget, max_steps)?;
-            engine.metrics().incr(Counter::RunBudget);
-            if guard.shard_count() > 1 {
-                engine
-                    .metrics()
-                    .add(Counter::ShardRoute, (estimate.iterations - before) as u64);
-            }
-            engine
-                .metrics()
-                .record(&format!("run_budget.{}", guard.method().as_str()), timer);
-            estimate_response(&guard)
+            let entry = WalEntry::RunBudget {
+                label_budget: budget,
+                max_steps,
+            };
+            engine.mutate(&session, entry, mutation_response)?
+        }
+        Request::ExpireLeases { session } => {
+            engine.mutate(&session, WalEntry::Expire { now_us: 0 }, mutation_response)?
         }
         Request::Estimate { session } => {
             let handle = engine.session(&session)?;
@@ -656,21 +542,6 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
             if report.truncated_tail {
                 obj.set("wal_truncated", Json::Bool(true));
             }
-            obj
-        }
-        Request::ExpireLeases { session } => {
-            let handle = engine.session(&session)?;
-            let mut guard = handle.lock();
-            let now_us = engine.lease_now();
-            engine.log_wal(&session, WalEntry::Expire { now_us })?;
-            let expired = guard.expire_leases(now_us);
-            engine
-                .metrics()
-                .add(Counter::LeaseExpiry, expired.len() as u64);
-            let mut obj = ok_response();
-            obj.set("session", Json::String(session));
-            obj.set("expired", expired.to_json());
-            obj.set("pending", guard.pending_count().to_json());
             obj
         }
         Request::Auth { .. } => {
@@ -760,6 +631,7 @@ fn apply(engine: &Engine, request: Request) -> EngineResult<Dispatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionLimits;
 
     #[test]
     fn parse_covers_every_command() {
@@ -820,21 +692,37 @@ mod tests {
 
     #[test]
     fn create_session_parses_every_method_and_defaults_to_oasis() {
+        let parse_spec = |line: &str| match Request::parse(line).unwrap() {
+            Request::CreateSession(spec) => spec,
+            other => panic!("unexpected parse {other:?}"),
+        };
         for method in SamplerMethod::ALL {
             let line = format!(
                 r#"{{"cmd":"create_session","session":"s","pool":"p","seed":1,"method":"{}"}}"#,
                 method.as_str()
             );
-            match Request::parse(&line).unwrap() {
-                Request::CreateSession { method: parsed, .. } => assert_eq!(parsed, method),
-                other => panic!("unexpected parse {other:?}"),
-            }
+            assert_eq!(parse_spec(&line).method, method);
         }
+        // A minimal line gets exactly the library defaults...
         let line = r#"{"cmd":"create_session","session":"s","pool":"p","seed":1}"#;
-        match Request::parse(line).unwrap() {
-            Request::CreateSession { method, .. } => assert_eq!(method, SamplerMethod::Oasis),
-            other => panic!("unexpected parse {other:?}"),
-        }
+        assert_eq!(parse_spec(line), SessionSpec::new("s", "p", 1));
+        // ...and a full line carries every optional field into the spec.
+        let line = r#"{"cmd":"create_session","session":"s","pool":"p","seed":1,"method":"stratified","config":{"alpha":0.7,"strata_count":3},"shards":2,"truth":[true,false],"lease_timeout_us":5000,"max_pending":4}"#;
+        let expected = SessionSpec {
+            method: SamplerMethod::Stratified,
+            config: OasisConfig {
+                alpha: 0.7,
+                ..OasisConfig::default().with_strata_count(3)
+            },
+            shards: Some(2),
+            truth: Some(vec![true, false]),
+            limits: SessionLimits {
+                lease_timeout_us: Some(5000),
+                max_pending: Some(4),
+            },
+            ..SessionSpec::new("s", "p", 1)
+        };
+        assert_eq!(parse_spec(line), expected);
     }
 
     #[test]
@@ -943,6 +831,20 @@ mod tests {
         );
         assert!(rendered.contains(r#""stratum_labels":["#), "{rendered}");
         assert!(rendered.contains(r#""instrumental":["#), "{rendered}");
+    }
+
+    #[test]
+    fn a_single_shard_session_is_not_counted_as_sharded() {
+        // `shards: 1` is bit-identical to a flat session and routes nothing,
+        // so it counts as sharded no more than it does after a rehydration.
+        let engine = demo_engine();
+        let rendered = render(
+            &engine,
+            r#"{"cmd":"create_session","session":"s","pool":"p","seed":3,"config":{"strata_count":3},"shards":1}"#,
+        );
+        assert!(rendered.contains(r#""shards":1"#), "{rendered}");
+        let rendered = render(&engine, r#"{"cmd":"metrics"}"#);
+        assert!(rendered.contains(r#""sharded_session":"0""#), "{rendered}");
     }
 
     #[test]
@@ -1193,6 +1095,19 @@ mod tests {
         // Metrics saw the expiries.
         let rendered = render(&engine, r#"{"cmd":"metrics"}"#);
         assert!(rendered.contains(r#""lease_expiry":"2""#), "{rendered}");
+
+        // A propose rejected by backpressure still sweeps, and counts, the
+        // leases that expired before it.
+        render(
+            &engine,
+            r#"{"cmd":"create_session","session":"b","pool":"p","seed":3,"config":{"strata_count":3},"lease_timeout_us":1000,"max_pending":1}"#,
+        );
+        render(&engine, r#"{"cmd":"propose","session":"b","count":1}"#);
+        clock.advance(5_000);
+        let rendered = render(&engine, r#"{"cmd":"propose","session":"b","count":2}"#);
+        assert!(rendered.contains(r#""kind":"backpressure""#), "{rendered}");
+        let rendered = render(&engine, r#"{"cmd":"metrics"}"#);
+        assert!(rendered.contains(r#""lease_expiry":"3""#), "{rendered}");
     }
 
     #[test]
@@ -1256,9 +1171,9 @@ mod tests {
             Request::parse(r#"{"cmd":"create_session","session":"s","pool":"p","seed":7}"#)
                 .unwrap();
         match request {
-            Request::CreateSession { config, truth, .. } => {
-                assert_eq!(config, OasisConfig::default());
-                assert!(truth.is_none());
+            Request::CreateSession(spec) => {
+                assert_eq!(spec.config, OasisConfig::default());
+                assert!(spec.truth.is_none());
             }
             other => panic!("unexpected parse {other:?}"),
         }

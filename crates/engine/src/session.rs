@@ -11,7 +11,7 @@
 //!   the session then *suspends*, holding the tickets as pending;
 //! * [`Session::apply_labels`] resumes it when labels arrive (possibly out of
 //!   order, possibly in batches);
-//! * with an in-process oracle attached ([`LabelSource::GroundTruth`]),
+//! * with an in-process oracle attached ([`SessionSpec::truth`]),
 //!   [`Session::step`] runs the classic propose→query→apply loop and is
 //!   bit-identical to the library's `Sampler::step` with the same seed —
 //!   for every method, not just OASIS.
@@ -61,9 +61,56 @@ pub struct SessionLimits {
     pub max_pending: Option<usize>,
 }
 
+/// Everything needed to build a session: the one constructor input for
+/// [`Session::new`] and [`Engine::create_session`](crate::Engine::create_session),
+/// and what a `create_session` protocol line parses into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionSpec {
+    /// Session id.
+    pub id: String,
+    /// Id of the pool the session evaluates.
+    pub pool: String,
+    /// Sampling method.
+    pub method: SamplerMethod,
+    /// Sampler configuration; every method draws its hyperparameters from
+    /// it (see [`AnySampler::build`]).
+    pub config: OasisConfig,
+    /// Partition the pool into this many shards, each with its own strata
+    /// and inner sampler (see [`oasis::ShardedSampler`]); `None` builds the
+    /// flat sampler.  Shard `s` seeds its own RNG from `seed + s`, while the
+    /// session RNG is consumed only for shard selection, so `Some(1)` is
+    /// bit-identical to `None`.
+    pub shards: Option<usize>,
+    /// Seed of the session RNG.
+    pub seed: u64,
+    /// Hidden ground truth for an in-process oracle, enabling
+    /// [`Session::step`]; `None` means labels arrive from outside through
+    /// [`Session::apply_labels`].
+    pub truth: Option<Vec<bool>>,
+    /// Robustness limits (both off by default).
+    pub limits: SessionLimits,
+}
+
+impl SessionSpec {
+    /// A spec with the defaults a minimal `create_session` line gets: OASIS
+    /// with the default config, flat, externally labelled, no limits.
+    pub fn new(id: impl Into<String>, pool: impl Into<String>, seed: u64) -> Self {
+        SessionSpec {
+            id: id.into(),
+            pool: pool.into(),
+            method: SamplerMethod::Oasis,
+            config: OasisConfig::default(),
+            shards: None,
+            seed,
+            truth: None,
+            limits: SessionLimits::default(),
+        }
+    }
+}
+
 /// Where a session's labels come from.
 #[derive(Debug, Clone)]
-pub enum LabelSource {
+enum LabelSource {
     /// Labels arrive from outside (human annotators, a remote client) via
     /// [`Session::apply_labels`].  The session tracks the footnote-5 budget
     /// itself: repeated labels for the same item charge once.
@@ -76,16 +123,6 @@ pub enum LabelSource {
     /// A deterministic in-process oracle; enables [`Session::step`] and
     /// simulation-style runs inside the engine.
     GroundTruth(GroundTruthOracle),
-}
-
-impl LabelSource {
-    /// An external source for a pool of `pool_len` items.
-    pub fn external(pool_len: usize) -> Self {
-        LabelSource::External {
-            labelled: vec![false; pool_len],
-            distinct: 0,
-        }
-    }
 }
 
 /// One concurrent, independently seeded, checkpointable evaluation run of
@@ -109,95 +146,43 @@ pub struct Session {
 }
 
 impl Session {
-    /// Create a session over `pool` running the given sampling method, with
-    /// its own RNG seeded from `seed`.  All methods draw their
-    /// hyperparameters from the one `config` (see [`AnySampler::build`]).
+    /// Build the session `spec` describes over `pool` (the pool `spec.pool`
+    /// names), with its own RNG seeded from `spec.seed`.
     ///
     /// # Errors
     /// Propagates sampler construction failures (invalid config, degenerate
-    /// pool) and rejects a label source that does not cover the pool (a
-    /// ground truth or `External` bitmap of the wrong length).
-    pub fn new(
-        id: impl Into<String>,
-        pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<Self> {
-        Session::new_sharded(id, pool_id, pool, method, config, None, seed, source)
-    }
-
-    /// Create a session like [`Session::new`], optionally sharding the pool
-    /// into `shards` partitions, each with its own strata and inner sampler
-    /// (see [`oasis::ShardedSampler`]).  `None` (and `Some(1)` up to the
-    /// shard-selection draw) behaves exactly like the flat constructor;
-    /// shard `s` seeds its own RNG from `seed.wrapping_add(s)`, while the
-    /// session RNG (seeded from `seed`) is consumed only for shard
-    /// selection.
-    ///
-    /// # Errors
-    /// As [`Session::new`], plus rejection of `Some(0)` and of more shards
-    /// than pool items.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
-        id: impl Into<String>,
-        pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-    ) -> EngineResult<Self> {
-        Session::new_with_limits(
-            id,
-            pool_id,
-            pool,
-            method,
-            config,
-            shards,
-            seed,
-            source,
-            SessionLimits::default(),
-        )
-    }
-
-    /// Create a session like [`Session::new_sharded`], with explicit
-    /// robustness limits (propose-lease timeout, pending-queue cap).
-    ///
-    /// # Errors
-    /// As [`Session::new_sharded`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_with_limits(
-        id: impl Into<String>,
-        pool_id: impl Into<String>,
-        pool: Arc<ScoredPool>,
-        method: SamplerMethod,
-        config: OasisConfig,
-        shards: Option<usize>,
-        seed: u64,
-        source: LabelSource,
-        limits: SessionLimits,
-    ) -> EngineResult<Self> {
-        validate_source(&source, pool.len())?;
-        let sampler = match shards {
-            Some(k) => AnySampler::build_sharded(method, &pool, &config, k, seed)?,
-            None => AnySampler::build(method, &pool, &config)?,
+    /// pool, `Some(0)` or more shards than pool items) and rejects a ground
+    /// truth that does not cover the pool.
+    pub fn new(spec: SessionSpec, pool: Arc<ScoredPool>) -> EngineResult<Self> {
+        let source = match spec.truth {
+            Some(truth) if truth.len() != pool.len() => {
+                return Err(EngineError::InvalidLabelSource(format!(
+                    "label source covers {} items but the pool has {}",
+                    truth.len(),
+                    pool.len()
+                )))
+            }
+            Some(truth) => LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
+            None => LabelSource::External {
+                labelled: vec![false; pool.len()],
+                distinct: 0,
+            },
         };
-        let sampler = TrackedSampler::new(sampler, config.alpha);
+        let sampler = match spec.shards {
+            Some(k) => AnySampler::build_sharded(spec.method, &pool, &spec.config, k, spec.seed)?,
+            None => AnySampler::build(spec.method, &pool, &spec.config)?,
+        };
         Ok(Session {
-            id: id.into(),
-            pool_id: pool_id.into(),
+            id: spec.id,
+            pool_id: spec.pool,
             pool,
-            sampler,
-            rng: StdRng::seed_from_u64(seed),
-            seed,
+            sampler: TrackedSampler::new(sampler, spec.config.alpha),
+            rng: StdRng::seed_from_u64(spec.seed),
+            seed: spec.seed,
             pending: VecDeque::new(),
             next_ticket: 0,
             source,
-            limits,
+            limits: spec.limits,
             lease_now_us: 0,
         })
     }
@@ -627,21 +612,6 @@ impl Session {
     }
 }
 
-/// Reject label sources whose coverage does not match the pool, so indexing
-/// by pool item can never panic later.
-fn validate_source(source: &LabelSource, pool_len: usize) -> EngineResult<()> {
-    let covered = match source {
-        LabelSource::External { labelled, .. } => labelled.len(),
-        LabelSource::GroundTruth(oracle) => oracle.len(),
-    };
-    if covered != pool_len {
-        return Err(EngineError::InvalidLabelSource(format!(
-            "label source covers {covered} items but the pool has {pool_len}"
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,13 +641,12 @@ mod tests {
         let (pool, truth) = pool_and_truth(2000, 1);
         let expected = library_run(&pool, &truth, 7, 400);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(12),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 7)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
-            7,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         let estimate = session.step(400).unwrap();
@@ -689,13 +658,11 @@ mod tests {
         let (pool, truth) = pool_and_truth(1200, 2);
         let expected = library_run(&pool, &truth, 11, 300);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(12),
+                ..SessionSpec::new("s", "p", 11)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
-            11,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         // Suspend/resume one ticket at a time, the client answering from the
@@ -717,13 +684,11 @@ mod tests {
     fn batch_proposals_share_a_posterior_and_resume_in_any_order() {
         let (pool, truth) = pool_and_truth(800, 3);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(8),
+                ..SessionSpec::new("s", "p", 13)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(8),
-            13,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         let tickets = session.propose(5).unwrap();
@@ -751,13 +716,11 @@ mod tests {
     fn unknown_or_replayed_tickets_are_rejected_atomically() {
         let (pool, truth) = pool_and_truth(500, 4);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                ..SessionSpec::new("s", "p", 17)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(6),
-            17,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         let tickets = session.propose(2).unwrap();
@@ -779,13 +742,11 @@ mod tests {
     fn duplicate_tickets_in_one_batch_are_rejected_atomically() {
         let (pool, _) = pool_and_truth(400, 9);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                ..SessionSpec::new("s", "p", 37)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            37,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         let tickets = session.propose(2).unwrap();
@@ -802,13 +763,12 @@ mod tests {
     fn external_labels_on_an_oracle_session_charge_the_oracle_budget() {
         let (pool, truth) = pool_and_truth(400, 10);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth.clone()),
+                ..SessionSpec::new("s", "p", 41)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            41,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
         )
         .unwrap();
         // Drive an oracle-attached session through the suspend/resume path
@@ -832,13 +792,11 @@ mod tests {
     fn external_budget_charges_distinct_items_once() {
         let (pool, _) = pool_and_truth(300, 5);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                ..SessionSpec::new("s", "p", 19)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            19,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         // Draws are with replacement, so after many proposals the distinct
@@ -855,13 +813,11 @@ mod tests {
     fn stepping_an_external_session_is_an_error() {
         let (pool, _) = pool_and_truth(200, 6);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                ..SessionSpec::new("s", "p", 23)
+            },
             pool,
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            23,
-            LabelSource::external(200),
         )
         .unwrap();
         assert!(matches!(
@@ -874,13 +830,12 @@ mod tests {
     fn stepping_with_pending_tickets_is_an_error() {
         let (pool, truth) = pool_and_truth(200, 7);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 29)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            29,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         session.propose(1).unwrap();
@@ -902,13 +857,13 @@ mod tests {
             let expected = sampler.run(&pool, &mut oracle, &mut rng, 250).unwrap();
 
             let mut session = Session::new(
-                "s",
-                "p",
+                SessionSpec {
+                    method,
+                    config: config.clone(),
+                    truth: Some(truth.clone()),
+                    ..SessionSpec::new("s", "p", 19)
+                },
                 Arc::clone(&pool),
-                method,
-                config.clone(),
-                19,
-                LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
             )
             .unwrap();
             assert_eq!(session.method(), method);
@@ -924,13 +879,13 @@ mod tests {
         for method in oasis::SamplerMethod::ALL {
             let make = |id: &str| {
                 Session::new(
-                    id,
-                    "p",
+                    SessionSpec {
+                        method,
+                        config: config.clone(),
+                        truth: Some(truth.clone()),
+                        ..SessionSpec::new(id, "p", 23)
+                    },
                     Arc::clone(&pool),
-                    method,
-                    config.clone(),
-                    23,
-                    LabelSource::GroundTruth(GroundTruthOracle::new(truth.clone())),
                 )
                 .unwrap()
             };
@@ -956,13 +911,12 @@ mod tests {
         let config = OasisConfig::default().with_strata_count(6);
         for method in oasis::SamplerMethod::ALL {
             let mut session = Session::new(
-                "s",
-                "p",
+                SessionSpec {
+                    method,
+                    config: config.clone(),
+                    ..SessionSpec::new("s", "p", 29)
+                },
                 Arc::clone(&pool),
-                method,
-                config.clone(),
-                29,
-                LabelSource::external(pool.len()),
             )
             .unwrap();
             for _ in 0..30 {
@@ -980,16 +934,13 @@ mod tests {
     }
 
     fn limited_session(pool: &Arc<ScoredPool>, seed: u64, limits: SessionLimits) -> Session {
-        Session::new_with_limits(
-            "s",
-            "p",
+        Session::new(
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(4),
+                limits,
+                ..SessionSpec::new("s", "p", seed)
+            },
             Arc::clone(pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(4),
-            None,
-            seed,
-            LabelSource::external(pool.len()),
-            limits,
         )
         .unwrap()
     }
@@ -1112,13 +1063,12 @@ mod tests {
             .unwrap();
 
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(12),
+                truth: Some(truth),
+                ..SessionSpec::new("s", "p", 31)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(12),
-            31,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
         )
         .unwrap();
         let estimate = session.run_until_budget(150, 100_000).unwrap();

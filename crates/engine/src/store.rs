@@ -334,8 +334,8 @@ impl CheckpointStore for FsCheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{LabelSource, Session};
-    use oasis::{OasisConfig, SamplerMethod};
+    use crate::session::{Session, SessionSpec};
+    use oasis::OasisConfig;
     use std::sync::Arc;
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -453,13 +453,11 @@ mod tests {
     fn envelope_round_trips_and_accepts_bare_checkpoints() {
         let (pool, _) = crate::test_support::pool_and_truth(300, 5, 0.1);
         let mut session = Session::new(
-            "s",
-            "p",
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(5),
+                ..SessionSpec::new("s", "p", 11)
+            },
             Arc::clone(&pool),
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(5),
-            11,
-            LabelSource::external(pool.len()),
         )
         .unwrap();
         session.propose(2).unwrap();

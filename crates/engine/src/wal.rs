@@ -1,10 +1,10 @@
 //! Append-only write-ahead log of session mutations.
 //!
 //! Durability in the engine is `latest checkpoint + WAL suffix`: every
-//! mutating request against a durable session — propose, label, step,
-//! run-budget — is appended to the session's log *before* the session is
-//! mutated, and a restart replays the records whose sequence numbers lie at
-//! or beyond the checkpoint's high-water mark.  Because every [`Session`]
+//! mutating request against a durable session — propose, lease expiry,
+//! label, step, run-budget — is appended to the session's log *before* the
+//! session is mutated, and a restart replays the records whose sequence
+//! numbers lie at or beyond the checkpoint's high-water mark.  Because every [`Session`]
 //! mutator is deterministic given the session state (the RNG lives inside
 //! the checkpoint) and validates its whole batch before touching anything,
 //! replaying the suffix reproduces the pre-crash state bit for bit:
@@ -15,12 +15,17 @@
 //!   logged before the session rejected it) fails again and leaves the
 //!   session untouched, exactly as it did the first time.
 //!
+//! Live requests and replay run the same [`WalEntry::apply`]: the engine's
+//! one mutation path logs, applies and counts each mutation, while
+//! [`replay`] only applies.
+//!
 //! Records serialise one JSON object per line (`{"seq":…,"op":…,…}`), with
 //! sequence numbers assigned under the session's lock so concurrent client
 //! batches land in the log in the order they were applied.
 
 use crate::error::{EngineError, EngineResult};
-use crate::session::Session;
+use crate::session::{Session, Ticket};
+use oasis::Estimate;
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 
 /// One loggable session mutation.
@@ -61,34 +66,78 @@ pub enum WalEntry {
     },
 }
 
+/// What applying a [`WalEntry`] did — everything a live request renders
+/// and counts.  Replay discards it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// A propose: the leases it expired first (oldest first), then the
+    /// tickets it minted.
+    Proposed {
+        /// Ids of the pending tickets whose leases expired.
+        expired: Vec<u64>,
+        /// The freshly proposed tickets.
+        tickets: Vec<Ticket>,
+    },
+    /// An explicit lease sweep: the expired ticket ids, oldest first.
+    Expired(Vec<u64>),
+    /// A label batch: how many labels were applied.
+    Labelled(usize),
+    /// A step or run-budget batch: iterations run, and the estimate after.
+    Ran {
+        /// Propose→query→apply iterations run.
+        steps: usize,
+        /// The session's estimate afterwards.
+        estimate: Estimate,
+    },
+}
+
 impl WalEntry {
-    /// Apply this mutation to a session, discarding the result payload.
+    /// The record's `op` tag, which is also the request verb it logs
+    /// (`expire` logs `expire_leases`).
+    pub fn op(&self) -> &'static str {
+        match self {
+            WalEntry::Propose { .. } => "propose",
+            WalEntry::Expire { .. } => "expire",
+            WalEntry::Label { .. } => "label",
+            WalEntry::Step { .. } => "step",
+            WalEntry::RunBudget { .. } => "run_budget",
+        }
+    }
+
+    /// Apply this mutation to a session and report what it did.
     ///
     /// # Errors
     /// Whatever the underlying session method returns.  During replay a
     /// failure means the record also failed live (see the module docs), so
     /// the caller skips it rather than aborting.
-    pub fn apply(&self, session: &mut Session) -> EngineResult<()> {
-        match self {
+    pub fn apply(&self, session: &mut Session) -> EngineResult<Applied> {
+        Ok(match self {
             WalEntry::Propose { count, now_us } => {
-                if let Some(now) = now_us {
-                    let _ = session.expire_leases(*now);
-                }
-                session.propose(*count).map(|_| ())
+                let expired = match now_us {
+                    Some(now) => session.expire_leases(*now),
+                    None => Vec::new(),
+                };
+                let tickets = session.propose(*count)?;
+                Applied::Proposed { expired, tickets }
             }
-            WalEntry::Expire { now_us } => {
-                let _ = session.expire_leases(*now_us);
-                Ok(())
-            }
-            WalEntry::Label { labels } => session.apply_labels(labels).map(|_| ()),
-            WalEntry::Step { steps } => session.step(*steps).map(|_| ()),
+            WalEntry::Expire { now_us } => Applied::Expired(session.expire_leases(*now_us)),
+            WalEntry::Label { labels } => Applied::Labelled(session.apply_labels(labels)?),
+            WalEntry::Step { steps } => Applied::Ran {
+                steps: *steps,
+                estimate: session.step(*steps)?,
+            },
             WalEntry::RunBudget {
                 label_budget,
                 max_steps,
-            } => session
-                .run_until_budget(*label_budget, *max_steps)
-                .map(|_| ()),
-        }
+            } => {
+                let before = session.estimate().iterations;
+                let estimate = session.run_until_budget(*label_budget, *max_steps)?;
+                Applied::Ran {
+                    steps: estimate.iterations - before,
+                    estimate,
+                }
+            }
+        })
     }
 }
 
@@ -123,20 +172,18 @@ impl ToJson for WalRecord {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("seq", self.seq.to_json());
+        obj.set("op", Json::String(self.entry.op().to_string()));
         match &self.entry {
             WalEntry::Propose { count, now_us } => {
-                obj.set("op", Json::String("propose".to_string()));
                 obj.set("count", count.to_json());
                 if let Some(now) = now_us {
                     obj.set("now_us", now.to_json());
                 }
             }
             WalEntry::Expire { now_us } => {
-                obj.set("op", Json::String("expire".to_string()));
                 obj.set("now_us", now_us.to_json());
             }
             WalEntry::Label { labels } => {
-                obj.set("op", Json::String("label".to_string()));
                 let items = labels
                     .iter()
                     .map(|&(ticket, label)| {
@@ -149,14 +196,12 @@ impl ToJson for WalRecord {
                 obj.set("labels", Json::Array(items));
             }
             WalEntry::Step { steps } => {
-                obj.set("op", Json::String("step".to_string()));
                 obj.set("steps", steps.to_json());
             }
             WalEntry::RunBudget {
                 label_budget,
                 max_steps,
             } => {
-                obj.set("op", Json::String("run_budget".to_string()));
                 obj.set("label_budget", label_budget.to_json());
                 obj.set("max_steps", max_steps.to_json());
             }
@@ -283,8 +328,8 @@ pub fn replay(session: &mut Session, records: &[WalRecord], from_seq: u64) -> En
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::LabelSource;
-    use oasis::{OasisConfig, SamplerMethod};
+    use crate::session::SessionSpec;
+    use oasis::OasisConfig;
     use std::sync::Arc;
 
     #[test]
@@ -364,13 +409,11 @@ mod tests {
         let (pool, truth) = crate::test_support::pool_and_truth(500, 77, 0.1);
         let make = || {
             Session::new(
-                "s",
-                "p",
+                SessionSpec {
+                    config: OasisConfig::default().with_strata_count(6),
+                    ..SessionSpec::new("s", "p", 7)
+                },
                 Arc::clone(&pool),
-                SamplerMethod::Oasis,
-                OasisConfig::default().with_strata_count(6),
-                7,
-                LabelSource::external(pool.len()),
             )
             .unwrap()
         };

@@ -19,7 +19,7 @@ use crate::report::{fmt_float, TextTable};
 use er_core::datasets::DatasetProfile;
 use oasis::oracle::GroundTruthOracle;
 use oasis::samplers::Sampler;
-use oasis_engine::{Engine, LabelSource, SessionCheckpoint, SessionJob};
+use oasis_engine::{Engine, SessionCheckpoint, SessionJob, SessionSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -163,14 +163,12 @@ fn checkpointed_run(
 ) -> oasis::Estimate {
     let session_id = format!("ckpt-{}-{seed}", method.sampler_method());
     engine
-        .create_session(
-            &session_id,
-            "cora",
-            method.sampler_method(),
-            method.engine_config(0.5, 0.0),
-            seed,
-            LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-        )
+        .create_session(SessionSpec {
+            method: method.sampler_method(),
+            config: method.engine_config(0.5, 0.0),
+            truth: Some(pool.truth.clone()),
+            ..SessionSpec::new(&session_id, "cora", seed)
+        })
         .expect("session");
     let handle = engine.session(&session_id).expect("exists");
     let cut = steps / 3;
@@ -199,15 +197,13 @@ fn sharded_run(
 ) -> oasis::Estimate {
     let session_id = format!("shard-{}-{seed}", method.sampler_method());
     engine
-        .create_session_sharded(
-            &session_id,
-            "cora",
-            method.sampler_method(),
-            method.engine_config(0.5, 0.0),
-            Some(1),
-            seed,
-            LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-        )
+        .create_session(SessionSpec {
+            method: method.sampler_method(),
+            config: method.engine_config(0.5, 0.0),
+            shards: Some(1),
+            truth: Some(pool.truth.clone()),
+            ..SessionSpec::new(&session_id, "cora", seed)
+        })
         .expect("sharded session");
     let handle = engine.session(&session_id).expect("exists");
     let estimate = handle.lock().step(steps).expect("sharded run");
@@ -243,14 +239,12 @@ pub fn run(config: &EngineParityConfig) -> EngineParity {
         .expect("load pool");
     for &(method, seed, _) in &references {
         engine
-            .create_session(
-                format!("{}-{seed}", method.sampler_method()),
-                "cora",
-                method.sampler_method(),
-                method.engine_config(0.5, 0.0),
-                seed,
-                LabelSource::GroundTruth(GroundTruthOracle::new(pool.truth.clone())),
-            )
+            .create_session(SessionSpec {
+                method: method.sampler_method(),
+                config: method.engine_config(0.5, 0.0),
+                truth: Some(pool.truth.clone()),
+                ..SessionSpec::new(format!("{}-{seed}", method.sampler_method()), "cora", seed)
+            })
             .expect("session");
     }
     let jobs: Vec<SessionJob> = references

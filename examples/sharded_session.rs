@@ -11,10 +11,9 @@
 //!
 //! Run with: `cargo run --release --example sharded_session`
 
-use oasis::oracle::GroundTruthOracle;
-use oasis::samplers::{OasisConfig, SamplerMethod};
+use oasis::samplers::OasisConfig;
 use oasis::ScoredPool;
-use oasis_engine::{Engine, LabelSource};
+use oasis_engine::{Engine, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,15 +54,12 @@ fn main() {
     engine.load_pool("large", pool).expect("load pool");
     let start = std::time::Instant::now();
     engine
-        .create_session_sharded(
-            "sharded",
-            "large",
-            SamplerMethod::Oasis,
-            OasisConfig::default().with_strata_count(10),
-            Some(shards),
-            42,
-            LabelSource::GroundTruth(GroundTruthOracle::new(truth)),
-        )
+        .create_session(SessionSpec {
+            config: OasisConfig::default().with_strata_count(10),
+            shards: Some(shards),
+            truth: Some(truth),
+            ..SessionSpec::new("sharded", "large", 42)
+        })
         .expect("create sharded session");
     println!("Session: {shards} shards, 10 strata each");
     eprintln!("session built in {:.2?}", start.elapsed());
