@@ -20,25 +20,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bounded, deterministic retry for transient store faults: up to
-/// `max_retries` extra attempts with doubling backoff from `base_delay`.
-/// No jitter — retry behaviour must be as reproducible as everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first failure.
-    pub max_retries: u32,
-    /// Delay before the first retry; doubles each attempt.
-    pub base_delay: Duration,
-}
+/// Extra attempts after a transient store fault.  No jitter — retry
+/// behaviour must be as reproducible as everything else.
+const STORE_RETRIES: u32 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_delay: Duration::from_millis(1),
-        }
-    }
-}
+/// Delay before the first store retry; doubles each attempt.
+const STORE_RETRY_DELAY: Duration = Duration::from_millis(1);
 
 /// What a WAL replay did: how many records were applied, and whether a
 /// partial trailing record (crash mid-append) was truncated along the way.
@@ -71,18 +58,13 @@ pub enum SessionJob {
     },
 }
 
-/// Per-session durability bookkeeping (next WAL sequence number, dirtiness,
-/// LRU recency).  Lives beside — not inside — the session so it survives
-/// eviction and is reachable without the session's own mutex.
-#[derive(Debug, Clone, Default)]
-struct SessionMeta {
-    /// Sequence number the next WAL record will carry.
-    wal_seq: u64,
-    /// Whether the session has been mutated since its last durable
-    /// checkpoint (or, without a store, since it was created/restored).
-    dirty: bool,
+/// A resident session beside its LRU stamp, which a lookup bumps without
+/// taking the session's mutex.
+#[derive(Debug)]
+struct Resident {
+    session: Arc<Mutex<Session>>,
     /// Logical access time for LRU eviction.
-    last_access: u64,
+    last_access: AtomicU64,
 }
 
 /// A snapshot of one session's identity and progress, cheap enough to build
@@ -122,14 +104,12 @@ pub struct SessionOverview {
 #[derive(Debug)]
 pub struct Engine {
     pools: RwLock<HashMap<String, Arc<ScoredPool>>>,
-    sessions: RwLock<HashMap<String, Arc<Mutex<Session>>>>,
+    sessions: RwLock<HashMap<String, Resident>>,
     store: Option<Arc<dyn CheckpointStore>>,
-    meta: Mutex<HashMap<String, SessionMeta>>,
     max_resident: Option<usize>,
     clock: AtomicU64,
     metrics: Arc<MetricsRegistry>,
     lease_clock: Arc<dyn Clock>,
-    retry: RetryPolicy,
 }
 
 impl Default for Engine {
@@ -138,12 +118,10 @@ impl Default for Engine {
             pools: RwLock::default(),
             sessions: RwLock::default(),
             store: None,
-            meta: Mutex::default(),
             max_resident: None,
             clock: AtomicU64::new(0),
             metrics: Arc::new(MetricsRegistry::new()),
             lease_clock: Arc::new(MonotonicClock::new()),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -189,12 +167,6 @@ impl Engine {
         self
     }
 
-    /// Replace the transient-fault retry policy (see [`RetryPolicy`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// The engine's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -207,8 +179,8 @@ impl Engine {
         Arc::clone(&self.metrics)
     }
 
-    /// Run `op`, retrying [`EngineError::StoreTransient`] failures under the
-    /// engine's [`RetryPolicy`] with deterministic doubling backoff.  An
+    /// Run `op`, retrying [`EngineError::StoreTransient`] failures with
+    /// doubling backoff ([`STORE_RETRIES`], [`STORE_RETRY_DELAY`]).  An
     /// exhausted budget promotes the fault to a permanent
     /// [`EngineError::Store`]; any other error passes through untouched.
     fn with_store_retry<T>(
@@ -219,11 +191,10 @@ impl Engine {
         let mut attempt = 0u32;
         loop {
             match op() {
-                Err(EngineError::StoreTransient(why)) if attempt < self.retry.max_retries => {
+                Err(EngineError::StoreTransient(_)) if attempt < STORE_RETRIES => {
                     self.metrics.incr(Counter::RetriedWrite);
-                    std::thread::sleep(self.retry.base_delay * (1u32 << attempt.min(16)));
+                    std::thread::sleep(STORE_RETRY_DELAY * (1u32 << attempt));
                     attempt += 1;
-                    let _ = why;
                 }
                 Err(EngineError::StoreTransient(why)) => {
                     return Err(EngineError::Store(format!(
@@ -233,11 +204,6 @@ impl Engine {
                 other => return other,
             }
         }
-    }
-
-    /// The attached store, if any.
-    pub fn store(&self) -> Option<&Arc<dyn CheckpointStore>> {
-        self.store.as_ref()
     }
 
     /// Register a pool under `id`, sharing it across future sessions.
@@ -302,45 +268,55 @@ impl Engine {
 
     /// Register a freshly built session; with a store attached, write its
     /// base checkpoint first so the WAL always has something to replay onto.
-    fn register(&self, session: Session) -> EngineResult<()> {
+    fn register(&self, mut session: Session) -> EngineResult<()> {
         let session_id = session.id().to_string();
         if let Some(store) = &self.store {
-            let timer = self.metrics.timer();
-            let document = render_envelope(&session.checkpoint(), 0);
-            self.with_store_retry("base checkpoint write", || {
-                store.put_checkpoint(&session_id, &document)
-            })?;
-            self.with_store_retry("base WAL truncate", || store.truncate_wal(&session_id))?;
-            self.metrics.incr(Counter::CheckpointWrite);
-            self.metrics.record("checkpoint.write", timer);
+            self.write_checkpoint(&**store, &mut session, "base ")?;
         }
-        self.make_resident(session, 0, false)
+        self.make_resident(session)
             .map_err(|_| EngineError::DuplicateId(session_id))?;
         self.enforce_resident_cap()
     }
 
-    /// Insert a session into the resident registry with its WAL position,
-    /// counting it as sharded when it runs over more than one shard.  Hands
-    /// back the already-resident session instead when the id is taken.
-    fn make_resident(
+    /// Write `session`'s store envelope (checkpoint + WAL watermark), truncate
+    /// its log and mark it clean.  The caller owns the session or holds its
+    /// lock, so no WAL append can slip in between.  `what` prefixes retry
+    /// errors.  Returns the watermark: the next WAL record's sequence number.
+    fn write_checkpoint(
         &self,
-        session: Session,
-        wal_seq: u64,
-        dirty: bool,
-    ) -> Result<Arc<Mutex<Session>>, Arc<Mutex<Session>>> {
+        store: &dyn CheckpointStore,
+        session: &mut Session,
+        what: &str,
+    ) -> EngineResult<u64> {
+        let timer = self.metrics.timer();
+        let id = session.id();
+        let document = render_envelope(&session.checkpoint(), session.wal_seq);
+        self.with_store_retry(&format!("{what}checkpoint write"), || {
+            store.put_checkpoint(id, &document)
+        })?;
+        self.with_store_retry(&format!("{what}WAL truncate"), || store.truncate_wal(id))?;
+        self.metrics.incr(Counter::CheckpointWrite);
+        self.metrics.record("checkpoint.write", timer);
+        session.dirty = false;
+        Ok(session.wal_seq)
+    }
+
+    /// Insert a session into the resident registry, counting it as sharded
+    /// when it runs over more than one shard.  Hands back the
+    /// already-resident session instead when the id is taken.
+    fn make_resident(&self, session: Session) -> Result<Arc<Mutex<Session>>, Arc<Mutex<Session>>> {
         let session_id = session.id().to_string();
         let sharded = session.shard_count() > 1;
         let mut sessions = self.sessions.write();
         if let Some(existing) = sessions.get(&session_id) {
-            return Err(Arc::clone(existing));
+            return Err(Arc::clone(&existing.session));
         }
         let handle = Arc::new(Mutex::new(session));
-        sessions.insert(session_id.clone(), Arc::clone(&handle));
-        let mut meta = self.meta.lock();
-        let slot = meta.entry(session_id).or_default();
-        slot.wal_seq = wal_seq;
-        slot.dirty = dirty;
-        slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
+        let resident = Resident {
+            session: Arc::clone(&handle),
+            last_access: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
+        };
+        sessions.insert(session_id, resident);
         if sharded {
             self.metrics.incr(Counter::ShardedSession);
         }
@@ -378,9 +354,10 @@ impl Engine {
     /// [`EngineError::UnknownSession`] if it exists neither in memory nor in
     /// the store; [`EngineError::Store`] if its store entry is corrupt.
     pub fn session(&self, id: &str) -> EngineResult<Arc<Mutex<Session>>> {
-        if let Some(handle) = self.sessions.read().get(id).cloned() {
-            self.touch(id);
-            return Ok(handle);
+        if let Some(resident) = self.sessions.read().get(id) {
+            let now = self.clock.fetch_add(1, Ordering::Relaxed);
+            resident.last_access.store(now, Ordering::Relaxed);
+            return Ok(Arc::clone(&resident.session));
         }
         self.rehydrate(id).map(|(handle, _)| handle)
     }
@@ -407,12 +384,6 @@ impl Engine {
             if store.append_wal(session_id, line).is_err() {
                 return;
             }
-        }
-    }
-
-    fn touch(&self, id: &str) {
-        if let Some(slot) = self.meta.lock().get_mut(id) {
-            slot.last_access = self.clock.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -443,6 +414,8 @@ impl Engine {
             self.scrub_wal_tail(&store, id);
         }
         let applied = wal::replay(&mut session, &outcome.records, wal_seq)?;
+        session.wal_seq = wal_seq + applied as u64;
+        session.dirty = applied > 0;
         self.metrics.incr(Counter::Rehydration);
         self.metrics.incr(Counter::CheckpointRestore);
         self.metrics.add(Counter::WalReplay, applied as u64);
@@ -451,13 +424,13 @@ impl Engine {
             replayed: applied,
             truncated_tail: outcome.truncated_tail.is_some(),
         };
-        match self.make_resident(session, wal_seq + applied as u64, applied > 0) {
+        match self.make_resident(session) {
             Ok(handle) => {
                 self.enforce_resident_cap()?;
                 Ok((handle, report))
             }
-            // Lost a rehydration race; the winner's copy (and its meta,
-            // possibly already advanced by new WAL appends) is the truth.
+            // Lost a rehydration race; the winner's copy (and its WAL
+            // position, possibly advanced by new appends) is the truth.
             Err(existing) => {
                 let report = ReplayReport {
                     replayed: 0,
@@ -497,26 +470,14 @@ impl Engine {
     /// [`EngineError::Store`] with no store attached or on write failure;
     /// [`EngineError::UnknownSession`] if the session does not exist.
     pub fn checkpoint_to(&self, id: &str) -> EngineResult<u64> {
-        let Some(store) = self.store.clone() else {
+        let Some(store) = &self.store else {
             return Err(EngineError::Store(
                 "no checkpoint store attached".to_string(),
             ));
         };
         let handle = self.session(id)?;
-        // Hold the session lock across capture + write + truncate so no
-        // mutation (and no WAL append) can slip between them.
-        let session = handle.lock();
-        let mut meta = self.meta.lock();
-        let slot = meta.entry(id.to_string()).or_default();
-        let wal_seq = slot.wal_seq;
-        let timer = self.metrics.timer();
-        let document = render_envelope(&session.checkpoint(), wal_seq);
-        self.with_store_retry("checkpoint write", || store.put_checkpoint(id, &document))?;
-        self.with_store_retry("WAL truncate", || store.truncate_wal(id))?;
-        self.metrics.incr(Counter::CheckpointWrite);
-        self.metrics.record("checkpoint.write", timer);
-        slot.dirty = false;
-        Ok(wal_seq)
+        let mut session = handle.lock();
+        self.write_checkpoint(&**store, &mut session, "")
     }
 
     /// Apply one mutation to a session — the path every live propose,
@@ -551,7 +512,7 @@ impl Engine {
             WalEntry::Expire { now_us } => *now_us = self.lease_clock.now_micros(),
             _ => {}
         }
-        self.log_wal(session_id, &entry)?;
+        self.log_wal(&mut session, &entry)?;
         let pending = session.pending_count();
         let applied = entry.apply(&mut session).inspect_err(|_| {
             // A failed mutation leaves the queue alone, except a propose
@@ -598,14 +559,14 @@ impl Engine {
     /// the next sequence number.  Called only by [`Engine::mutate`], with
     /// the session's mutex held and *before* the mutation is applied — that
     /// ordering is what makes the log a write-*ahead* log and keeps
-    /// concurrent batches in application order.  No-op (except dirtiness
-    /// tracking) without a store.
-    fn log_wal(&self, session_id: &str, entry: &WalEntry) -> EngineResult<()> {
-        let mut meta = self.meta.lock();
-        let slot = meta.entry(session_id.to_string()).or_default();
+    /// concurrent batches in application order.  Takes no engine-wide lock,
+    /// so a slow append stalls only its own session.  No-op (except
+    /// dirtiness tracking) without a store.
+    fn log_wal(&self, session: &mut Session, entry: &WalEntry) -> EngineResult<()> {
+        let session_id = session.id();
         if let Some(store) = &self.store {
             let record = WalRecord {
-                seq: slot.wal_seq,
+                seq: session.wal_seq,
                 entry: entry.clone(),
             };
             let line = record.render();
@@ -622,9 +583,9 @@ impl Engine {
             }
             self.metrics.incr(Counter::WalAppend);
             self.metrics.record("wal.append", timer);
-            slot.wal_seq += 1;
+            session.wal_seq += 1;
         }
-        slot.dirty = true;
+        session.dirty = true;
         Ok(())
     }
 
@@ -643,11 +604,10 @@ impl Engine {
                 if sessions.len() <= cap {
                     return Ok(());
                 }
-                let meta = self.meta.lock();
                 sessions
-                    .keys()
-                    .min_by_key(|id| meta.get(*id).map(|m| m.last_access).unwrap_or(0))
-                    .cloned()
+                    .iter()
+                    .min_by_key(|(_, resident)| resident.last_access.load(Ordering::Relaxed))
+                    .map(|(id, _)| id.clone())
             };
             let Some(victim) = victim else {
                 return Ok(());
@@ -655,8 +615,6 @@ impl Engine {
             self.checkpoint_to(&victim)?;
             self.sessions.write().remove(&victim);
             self.metrics.incr(Counter::Eviction);
-            // Meta stays: its wal_seq matches the envelope watermark, so
-            // appends after rehydration continue the same sequence.
         }
     }
 
@@ -680,8 +638,11 @@ impl Engine {
         self.session_ids()
             .into_iter()
             .map(|id| {
-                let resident = self.sessions.read().get(&id).cloned();
-                let dirty = self.meta.lock().get(&id).map(|m| m.dirty).unwrap_or(false);
+                let resident = self
+                    .sessions
+                    .read()
+                    .get(&id)
+                    .map(|r| Arc::clone(&r.session));
                 match resident {
                     Some(handle) => {
                         let session = handle.lock();
@@ -691,7 +652,7 @@ impl Engine {
                             shards: Some(session.shard_count()),
                             pending: Some(session.pending_count()),
                             labels_consumed: Some(session.labels_consumed()),
-                            dirty,
+                            dirty: session.dirty,
                             resident: true,
                         }
                     }
@@ -701,7 +662,7 @@ impl Engine {
                         shards: None,
                         pending: None,
                         labels_consumed: None,
-                        dirty,
+                        dirty: false, // eviction checkpoints first
                         resident: false,
                     },
                 }
@@ -709,8 +670,8 @@ impl Engine {
             .collect()
     }
 
-    /// Remove a session everywhere: the resident registry, its durability
-    /// metadata, and (with a store) its checkpoint and log.
+    /// Remove a session everywhere: the resident registry and (with a
+    /// store) its checkpoint and log.
     ///
     /// # Errors
     /// [`EngineError::UnknownSession`] if it exists neither in memory nor in
@@ -722,7 +683,6 @@ impl Engine {
             stored = store.load_checkpoint(id)?.is_some();
             store.remove(id)?;
         }
-        self.meta.lock().remove(id);
         if resident || stored {
             Ok(())
         } else {
@@ -1147,12 +1107,7 @@ mod tests {
                 .with_fault(StoreOp::PutCheckpoint, 1, FaultKind::Transient),
         );
         let (pool, truth) = pool_and_truth(400, 36);
-        let engine = Engine::new()
-            .with_store(Arc::clone(&faulty) as Arc<dyn CheckpointStore>)
-            .with_retry_policy(RetryPolicy {
-                max_retries: 2,
-                base_delay: Duration::from_micros(10),
-            });
+        let engine = Engine::new().with_store(Arc::clone(&faulty) as Arc<dyn CheckpointStore>);
         faulty.attach_metrics(engine.metrics_handle());
         engine.load_pool("p", pool).unwrap();
         oracle_session(&engine, "s", &truth, 13);
@@ -1171,24 +1126,141 @@ mod tests {
         use crate::fault::{FaultKind, FaultyStore, StoreOp};
         let (dir, inner) = scratch_store("exhaust");
         let faulty = Arc::new(FaultyStore::new(inner as Arc<dyn CheckpointStore>));
-        // More consecutive transients than the policy tolerates.
+        // More consecutive transients than the engine retries.
         for index in 0..4 {
             faulty.fail_nth(StoreOp::AppendWal, index, FaultKind::Transient);
         }
         let (pool, truth) = pool_and_truth(300, 37);
-        let engine = Engine::new()
-            .with_store(Arc::clone(&faulty) as Arc<dyn CheckpointStore>)
-            .with_retry_policy(RetryPolicy {
-                max_retries: 2,
-                base_delay: Duration::from_micros(10),
-            });
+        let engine = Engine::new().with_store(Arc::clone(&faulty) as Arc<dyn CheckpointStore>);
         engine.load_pool("p", pool).unwrap();
         oracle_session(&engine, "s", &truth, 17);
         let err = engine.run_parallel(&steps_job("s", 5), 1).unwrap_err();
         assert!(matches!(err, EngineError::Store(_)), "{err}");
-        assert!(err.to_string().contains("after 2 retries"), "{err}");
+        assert!(err.to_string().contains("after 3 retries"), "{err}");
         // The engine is not wedged: the faults are spent, traffic resumes.
         engine.run_parallel(&steps_job("s", 5), 1).unwrap();
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store that parks the first WAL append for session `"slow"` until
+    /// the test releases it; everything else goes straight through.
+    #[derive(Debug)]
+    struct ParkingStore {
+        inner: Arc<crate::store::FsCheckpointStore>,
+        parked: Mutex<Option<std::sync::mpsc::Sender<()>>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl CheckpointStore for ParkingStore {
+        fn put_checkpoint(&self, session_id: &str, document: &str) -> EngineResult<()> {
+            self.inner.put_checkpoint(session_id, document)
+        }
+        fn load_checkpoint(&self, session_id: &str) -> EngineResult<Option<String>> {
+            self.inner.load_checkpoint(session_id)
+        }
+        fn append_wal(&self, session_id: &str, line: &str) -> EngineResult<()> {
+            if session_id == "slow" {
+                if let Some(parked) = self.parked.lock().take() {
+                    parked.send(()).unwrap();
+                    let _ = self.release.lock().recv();
+                }
+            }
+            self.inner.append_wal(session_id, line)
+        }
+        fn read_wal(&self, session_id: &str) -> EngineResult<Vec<String>> {
+            self.inner.read_wal(session_id)
+        }
+        fn truncate_wal(&self, session_id: &str) -> EngineResult<()> {
+            self.inner.truncate_wal(session_id)
+        }
+        fn list_sessions(&self) -> EngineResult<Vec<String>> {
+            self.inner.list_sessions()
+        }
+        fn remove(&self, session_id: &str) -> EngineResult<()> {
+            self.inner.remove(session_id)
+        }
+    }
+
+    #[test]
+    fn a_slow_wal_append_does_not_stall_other_sessions() {
+        use crate::protocol::{dispatch, Request};
+        use std::sync::mpsc;
+        let (dir, inner) = scratch_store("slow-append");
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let store = ParkingStore {
+            inner,
+            parked: Mutex::new(Some(parked_tx)),
+            release: Mutex::new(release_rx),
+        };
+        let engine = Engine::new().with_store(Arc::new(store));
+        let (pool, truth) = pool_and_truth(300, 39);
+        engine.load_pool("p", pool).unwrap();
+        oracle_session(&engine, "slow", &truth, 1);
+        oracle_session(&engine, "fast", &truth, 2);
+        let propose = |session: &str| Request::Propose {
+            session: session.to_string(),
+            count: 1,
+        };
+
+        let (parked, answered) = std::thread::scope(|scope| {
+            let slow = scope.spawn(|| dispatch(&engine, propose("slow")));
+            let parked = parked_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+            let (answer_tx, answer_rx) = mpsc::channel();
+            let engine = &engine;
+            scope.spawn(move || answer_tx.send(dispatch(engine, propose("fast"))));
+            let answered = answer_rx.recv_timeout(Duration::from_secs(5));
+            // Release "slow" whatever happened, so the scope can join.
+            release_tx.send(()).unwrap();
+            let slow = slow.join().unwrap().response.render();
+            assert!(slow.contains(r#""ok":true"#), "{slow}");
+            (parked, answered)
+        });
+        assert!(parked, "the append for \"slow\" never reached the store");
+        let fast = answered.expect("\"fast\" waited on the slow append for \"slow\"");
+        let fast = fast.response.render();
+        assert!(fast.contains(r#""ok":true"#), "{fast}");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn dirty(engine: &Engine, id: &str) -> bool {
+        let overviews = engine.session_overviews();
+        overviews.iter().find(|o| o.id == id).unwrap().dirty
+    }
+
+    #[test]
+    fn dirty_tracks_mutations_since_the_last_durable_checkpoint() {
+        let (dir, store) = scratch_store("dirty");
+        let (pool, truth) = pool_and_truth(400, 38);
+        {
+            let engine = durable_engine(&store);
+            engine.load_pool("p", pool.clone()).unwrap();
+            oracle_session(&engine, "s", &truth, 19);
+            assert!(!dirty(&engine, "s"), "a durable create is checkpointed");
+            engine.run_parallel(&steps_job("s", 10), 1).unwrap();
+            assert!(dirty(&engine, "s"));
+            engine.checkpoint_to("s").unwrap();
+            assert!(!dirty(&engine, "s"));
+            engine.run_parallel(&steps_job("s", 10), 1).unwrap();
+            assert!(dirty(&engine, "s"), "the last steps live only in the WAL");
+        }
+        // Restart: the stored session is known but not resident, and a
+        // session that is not resident is never dirty.
+        let revived = durable_engine(&store);
+        revived.load_pool("p", pool).unwrap();
+        let overviews = revived.session_overviews();
+        assert_eq!(overviews.len(), 1);
+        assert!(!overviews[0].resident);
+        assert!(!overviews[0].dirty);
+        // Replaying the WAL suffix leaves state the checkpoint lacks.
+        let report = revived.restore_from("s").unwrap();
+        assert_eq!(report.replayed, 1);
+        assert!(
+            dirty(&revived, "s"),
+            "a replayed record is not checkpointed"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,8 +10,8 @@
 //! lock, and never appears in the WAL, so guards are invisible to replay.
 //!
 //! The token bucket does integer micro-token accounting on the engine's
-//! [`Clock`] abstraction: capacity `burst` requests, refilled at
-//! `rate_per_second`, with [`ManualClock`](crate::metrics::ManualClock)
+//! [`Clock`] abstraction: capacity one second's worth of requests, refilled
+//! at `rate_per_second`, with [`ManualClock`](crate::metrics::ManualClock)
 //! making throttle tests deterministic.
 
 use crate::engine::Engine;
@@ -40,7 +40,6 @@ struct Bucket {
 pub struct ClientPolicy {
     auth_token: Option<String>,
     rate_per_second: Option<u64>,
-    burst: Option<u64>,
     clock: Arc<dyn Clock>,
     buckets: Mutex<HashMap<String, Bucket>>,
 }
@@ -50,7 +49,6 @@ impl Default for ClientPolicy {
         ClientPolicy {
             auth_token: None,
             rate_per_second: None,
-            burst: None,
             clock: Arc::new(MonotonicClock::new()),
             buckets: Mutex::new(HashMap::new()),
         }
@@ -71,17 +69,9 @@ impl ClientPolicy {
     }
 
     /// Cap each session at `per_second` requests per second (sustained).
-    /// Bursts up to [`ClientPolicy::with_burst`] (default: one second's
-    /// worth) are admitted from a full bucket.
+    /// Bursts up to one second's worth are admitted from a full bucket.
     pub fn with_rate_limit(mut self, per_second: u64) -> Self {
         self.rate_per_second = Some(per_second.max(1));
-        self
-    }
-
-    /// Set the burst capacity (maximum requests admitted back-to-back from
-    /// a full bucket).  Only meaningful with a rate limit configured.
-    pub fn with_burst(mut self, burst: u64) -> Self {
-        self.burst = Some(burst.max(1));
         self
     }
 
@@ -104,7 +94,7 @@ impl ClientPolicy {
             // Constant-time-ish comparison: fold over every byte instead of
             // short-circuiting on the first mismatch.
             Some(secret) => {
-                let mut diff = (secret.len() ^ token.len()) as u8;
+                let mut diff = u8::from(secret.len() != token.len());
                 for (a, b) in secret.bytes().zip(token.bytes()) {
                     diff |= a ^ b;
                 }
@@ -123,7 +113,7 @@ impl ClientPolicy {
         let Some(rate) = self.rate_per_second else {
             return Ok(());
         };
-        let capacity = self.burst.unwrap_or(rate).saturating_mul(REQUEST_COST);
+        let capacity = rate.saturating_mul(REQUEST_COST);
         let now = self.clock.now_micros();
         let mut buckets = self.buckets.lock();
         let bucket = buckets.entry(key.to_string()).or_insert(Bucket {
@@ -217,6 +207,8 @@ mod tests {
         assert!(!policy.accepts("hunter"));
         assert!(!policy.accepts("hunter22"));
         assert!(!policy.accepts(""));
+        // A length difference that is a multiple of 256 still counts.
+        assert!(!policy.accepts(&format!("hunter2{}", "x".repeat(256))));
         let open = ClientPolicy::new();
         assert!(!open.requires_auth());
         assert!(open.accepts("anything"));

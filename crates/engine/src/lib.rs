@@ -53,8 +53,8 @@
 //!   clients deterministically (the lease clock is WAL-logged, so replay
 //!   expires exactly what the live run expired); a connection guard
 //!   ([`ClientPolicy`]) screens untrusted clients with auth tokens and
-//!   per-session rate limits; transient store faults are retried with
-//!   bounded backoff ([`RetryPolicy`]) and torn trailing WAL records are
+//!   per-session rate limits; transient store faults are retried (3
+//!   retries, 1 ms doubling backoff) and torn trailing WAL records are
 //!   truncated-and-scrubbed on replay.  [`FaultyStore`] injects scripted
 //!   faults to rehearse all of it.
 //! * **Observability** ([`metrics`], [`log`]) — a [`MetricsRegistry`] of
@@ -114,7 +114,7 @@ pub mod store;
 pub mod wal;
 
 pub use checkpoint::{pool_fingerprint, OracleCheckpoint, SessionCheckpoint, CHECKPOINT_FORMAT};
-pub use engine::{Engine, ReplayReport, RetryPolicy, SessionJob, SessionOverview};
+pub use engine::{Engine, ReplayReport, SessionJob, SessionOverview};
 pub use error::{EngineError, EngineResult};
 pub use fault::{FaultKind, FaultyStore, StoreOp};
 pub use guard::{ClientPolicy, ConnState};

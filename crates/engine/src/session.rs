@@ -143,6 +143,13 @@ pub struct Session {
     /// [`Session::expire_leases`].  Advanced only by WAL-logged values, so
     /// replay reproduces every expiry decision bit for bit.
     lease_now_us: u64,
+    /// Sequence number the next WAL record will carry.  Engine bookkeeping,
+    /// not checkpoint state: rehydration recomputes it from the envelope
+    /// watermark plus the replayed records.
+    pub(crate) wal_seq: u64,
+    /// Whether the session has been mutated since its last durable
+    /// checkpoint (or, without a store, since it was created/restored).
+    pub(crate) dirty: bool,
 }
 
 impl Session {
@@ -184,6 +191,8 @@ impl Session {
             source,
             limits: spec.limits,
             lease_now_us: 0,
+            wal_seq: 0,
+            dirty: false,
         })
     }
 
@@ -608,6 +617,8 @@ impl Session {
             source,
             limits: checkpoint.limits,
             lease_now_us: checkpoint.lease_now_us,
+            wal_seq: 0,
+            dirty: false,
         })
     }
 }

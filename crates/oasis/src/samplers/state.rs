@@ -456,8 +456,8 @@ impl StratifiedState {
 /// itself is not stored — it is the canonical contiguous split of the pool
 /// into `shards.len()` pieces, recomputed exactly on rebuild.
 ///
-/// The rebuild path lives next to the sampler in
-/// [`super::sharding`]; this type is plain data.
+/// The rebuild path lives next to the sampler,
+/// [`ShardedSampler`](super::ShardedSampler); this type is plain data.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedState {
     /// The method every shard runs (shards are homogeneous).
@@ -479,8 +479,8 @@ pub struct ShardedState {
 /// Produced by [`InteractiveSampler::state`](super::InteractiveSampler::state),
 /// consumed by [`InteractiveSampler::from_state`](super::InteractiveSampler::from_state)
 /// (which rejects a variant for the wrong sampler) or by
-/// [`AnySampler::from_state`](super::AnySampler::from_state) (which dispatches
-/// on the tag).  The JSON encoding carries the tag as a `"method"` field;
+/// [`AnySampler`](super::AnySampler)'s `from_state` (which dispatches on the
+/// tag).  The JSON encoding carries the tag as a `"method"` field;
 /// documents without one predate the tagged form and are read as OASIS states
 /// for backward compatibility.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
