@@ -1,65 +1,124 @@
 //! Checkpoint subsystem: exact-resume snapshots of sessions.
 //!
 //! A [`SessionCheckpoint`] captures everything needed to resume an evaluation
-//! run bit-for-bit: the full [`SamplerState`] (strata, Beta–Bernoulli
-//! posterior counts, AIS weighted sums), the xoshiro RNG state words, any
-//! suspended (proposed-but-unlabelled) tickets, and the oracle/budget state.
-//! Checkpoints serialise to JSON through the vendored `serde`'s
-//! [`json`](serde::json) layer, whose shortest-round-trip float encoding
-//! makes the JSON form as exact as the in-memory one.
+//! run bit-for-bit: the [`SamplerState`] (Beta–Bernoulli posterior counts, AIS
+//! weighted sums, strata when they cannot be recomputed), the xoshiro RNG
+//! state words, any suspended (proposed-but-unlabelled) tickets, and the
+//! oracle/budget state.  Checkpoints serialise to JSON through the vendored
+//! `serde`'s [`json`](serde::json) layer, whose shortest-round-trip float
+//! encoding makes the JSON form as exact as the in-memory one.
 //!
 //! The pool itself is *not* embedded — pools are shared across many sessions
 //! and can be huge.  Instead the checkpoint records the pool id, length and a
 //! content fingerprint, and [`Session::restore`](crate::Session::restore)
 //! refuses to resume against a pool that does not match.
+//!
+//! # Formats
+//!
+//! [`CHECKPOINT_FORMAT`] (`oasis-engine/checkpoint-v2`) is the only format
+//! written.  It stores nothing the verified pool already determines, so its
+//! size is O(strata + labels), not O(pool):
+//!
+//! * **Strata are recomputed, not stored**, for every sampler built by its
+//!   configured stratifier (all engine sessions).  Stratification is a
+//!   deterministic function of the pool's scores and the strata count, and
+//!   the fingerprint pins the scores, so rerunning the stratifier — per
+//!   shard sub-pool for sharded sessions — gives back the same allocations
+//!   and, through `Strata::from_allocations`, the same summary bits.  Custom
+//!   strata (`with_strata`) are still stored in full.
+//! * **Pool-length bool vectors are sorted index lists**: `labelled`, and
+//!   `truth` and `queried` for ground-truth sessions, list the positions
+//!   that are `true`.  Restore rejects a list that is unsorted, repeats an
+//!   index, or names one at or past `pool_len`.
+//!
+//! `oasis-engine/checkpoint-v1` documents, which store full allocations and
+//! bool arrays, are still read.  A v1 sampler whose stored strata equal the
+//! recomputed ones is marked canonical on restore, so its next checkpoint is
+//! compact.
 
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::session::{SessionLimits, Ticket};
 use oasis::samplers::SamplerState;
 use oasis::{Proposal, ScoredPool};
 use serde::json::{FromJson, Json, JsonError, JsonResult, ToJson};
 
-/// Version tag embedded in every checkpoint document.
-pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v1";
+/// Version tag embedded in every checkpoint document written.
+pub const CHECKPOINT_FORMAT: &str = "oasis-engine/checkpoint-v2";
+
+/// Version tag of the previous format: full strata allocations and
+/// pool-length bool arrays.  Still accepted on read.
+pub const CHECKPOINT_FORMAT_V1: &str = "oasis-engine/checkpoint-v1";
 
 /// FNV-1a content fingerprint of a pool (score bits + predictions), used to
 /// verify a checkpoint is restored against the pool it was captured on.
+/// Memoised on the pool ([`ScoredPool::fingerprint`]), so sessions sharing
+/// one `Arc<ScoredPool>` hash it once between them.
 pub fn pool_fingerprint(pool: &ScoredPool) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for (&score, &prediction) in pool.scores().iter().zip(pool.predictions().iter()) {
-        for byte in score.to_bits().to_le_bytes() {
-            eat(byte);
-        }
-        eat(u8::from(prediction));
-    }
-    hash
+    pool.fingerprint()
 }
 
 /// Oracle/budget state carried in a checkpoint.
+///
+/// Per-item flags are sorted lists of the pool indices whose flag is set;
+/// [`Session::restore`](crate::Session::restore) validates them against the
+/// pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OracleCheckpoint {
-    /// Externally labelled session: the footnote-5 budget bitmap.
+    /// Externally labelled session: the footnote-5 budget.
     External {
-        /// Which pool items have been labelled at least once.
-        labelled: Vec<bool>,
-        /// Number of distinct items labelled.
+        /// Pool items labelled at least once, ascending.
+        labelled: Vec<usize>,
+        /// Number of distinct items labelled (recomputed on restore).
         distinct: usize,
     },
     /// In-process deterministic oracle: hidden truth plus budget accounting.
     GroundTruth {
-        /// The hidden ground-truth labels.
-        truth: Vec<bool>,
-        /// Which items have been queried (the budget bitmap).
-        queried: Vec<bool>,
+        /// Pool items whose hidden ground-truth label is a match, ascending.
+        truth: Vec<usize>,
+        /// Pool items queried at least once (the budget), ascending.
+        queried: Vec<usize>,
         /// Total queries issued, including cache hits.
         queries_issued: usize,
     },
+}
+
+/// The positions of `flags` that are set, ascending — the checkpoint form of
+/// a pool-length bool vector.
+pub(crate) fn set_indices(flags: &[bool]) -> Vec<usize> {
+    flags
+        .iter()
+        .enumerate()
+        .filter_map(|(index, &flag)| flag.then_some(index))
+        .collect()
+}
+
+/// Expand a sorted index list back into a `len`-long bool vector.
+///
+/// # Errors
+/// [`EngineError::CheckpointMismatch`] naming `what` if the list is not
+/// strictly ascending (unsorted or repeated) or holds an index `>= len`.
+pub(crate) fn flags_from_indices(
+    indices: &[usize],
+    len: usize,
+    what: &str,
+) -> EngineResult<Vec<bool>> {
+    let mut flags = vec![false; len];
+    let mut previous = None;
+    for &index in indices {
+        if previous.is_some_and(|previous| index <= previous) {
+            return Err(EngineError::CheckpointMismatch(format!(
+                "{what} index list is not strictly ascending at {index}"
+            )));
+        }
+        let Some(flag) = flags.get_mut(index) else {
+            return Err(EngineError::CheckpointMismatch(format!(
+                "{what} index {index} is outside the {len}-item pool"
+            )));
+        };
+        *flag = true;
+        previous = Some(index);
+    }
+    Ok(flags)
 }
 
 /// A full, exact-resume snapshot of one [`Session`](crate::Session).
@@ -77,7 +136,7 @@ pub struct SessionCheckpoint {
     pub seed: u64,
     /// Current xoshiro256++ state words of the session RNG.
     pub rng_words: [u64; 4],
-    /// Full sampler state (strata, posterior, estimator sums).
+    /// Sampler state (posterior, estimator sums, non-canonical strata).
     pub sampler: SamplerState,
     /// Suspended (proposed-but-unlabelled) tickets, oldest first.
     pub pending: Vec<Ticket>,
@@ -165,16 +224,33 @@ impl ToJson for OracleCheckpoint {
     }
 }
 
-impl FromJson for OracleCheckpoint {
-    fn from_json(value: &Json) -> JsonResult<Self> {
+impl OracleCheckpoint {
+    /// Decode the oracle object.  `v1_pool_len` is `Some(pool_len)` for a
+    /// `checkpoint-v1` document, whose flags are pool-length bool arrays;
+    /// `None` reads v2 index lists.
+    fn decode(value: &Json, v1_pool_len: Option<usize>) -> JsonResult<Self> {
+        let flags = |key: &str| -> JsonResult<Vec<usize>> {
+            let field = value.require(key)?;
+            let Some(pool_len) = v1_pool_len else {
+                return Vec::<usize>::from_json(field);
+            };
+            let bools = Vec::<bool>::from_json(field)?;
+            if bools.len() != pool_len {
+                return Err(JsonError::new(format!(
+                    "{key} covers {} items but the pool has {pool_len}",
+                    bools.len()
+                )));
+            }
+            Ok(set_indices(&bools))
+        };
         match value.require("kind")?.as_str()? {
             "external" => Ok(OracleCheckpoint::External {
-                labelled: Vec::<bool>::from_json(value.require("labelled")?)?,
+                labelled: flags("labelled")?,
                 distinct: value.require("distinct")?.as_usize()?,
             }),
             "ground_truth" => Ok(OracleCheckpoint::GroundTruth {
-                truth: Vec::<bool>::from_json(value.require("truth")?)?,
-                queried: Vec::<bool>::from_json(value.require("queried")?)?,
+                truth: flags("truth")?,
+                queried: flags("queried")?,
                 queries_issued: value.require("queries_issued")?.as_usize()?,
             }),
             other => Err(JsonError::new(format!("unknown oracle kind {other:?}"))),
@@ -214,11 +290,17 @@ impl ToJson for SessionCheckpoint {
 impl FromJson for SessionCheckpoint {
     fn from_json(value: &Json) -> JsonResult<Self> {
         let format = value.require("format")?.as_str()?;
-        if format != CHECKPOINT_FORMAT {
-            return Err(JsonError::new(format!(
-                "unsupported checkpoint format {format:?} (expected {CHECKPOINT_FORMAT:?})"
-            )));
-        }
+        let v1 = match format {
+            CHECKPOINT_FORMAT => false,
+            CHECKPOINT_FORMAT_V1 => true,
+            other => {
+                return Err(JsonError::new(format!(
+                    "unsupported checkpoint format {other:?} (expected {CHECKPOINT_FORMAT:?} \
+                     or {CHECKPOINT_FORMAT_V1:?})"
+                )))
+            }
+        };
+        let pool_len = value.require("pool_len")?.as_usize()?;
         let rng_vec = Vec::<u64>::from_json(value.require("rng")?)?;
         let rng_words: [u64; 4] = rng_vec
             .try_into()
@@ -226,7 +308,7 @@ impl FromJson for SessionCheckpoint {
         Ok(SessionCheckpoint {
             session_id: String::from_json(value.require("session")?)?,
             pool_id: String::from_json(value.require("pool")?)?,
-            pool_len: value.require("pool_len")?.as_usize()?,
+            pool_len,
             pool_fingerprint: value.require("pool_fingerprint")?.as_u64()?,
             seed: value.require("seed")?.as_u64()?,
             rng_words,
@@ -247,7 +329,7 @@ impl FromJson for SessionCheckpoint {
                 Some(now) => now.as_u64()?,
                 None => 0,
             },
-            oracle: OracleCheckpoint::from_json(value.require("oracle")?)?,
+            oracle: OracleCheckpoint::decode(value.require("oracle")?, v1.then_some(pool_len))?,
         })
     }
 }
@@ -422,7 +504,7 @@ mod tests {
         session.propose(2).unwrap();
         let good = session.checkpoint();
 
-        // A hand-edited `distinct` is recomputed from the bitmap on restore.
+        // A hand-edited `distinct` is recomputed from the labelled list on restore.
         let mut inflated = good.clone();
         if let OracleCheckpoint::External { distinct, .. } = &mut inflated.oracle {
             *distinct = 999;
@@ -493,6 +575,123 @@ mod tests {
                 "total_weight {corrupt} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn restore_rejects_malformed_index_lists() {
+        let (pool, truth) = pool_and_truth(300, 13);
+        let spec = |truth| SessionSpec {
+            config: OasisConfig::default().with_strata_count(5),
+            truth,
+            ..SessionSpec::new("s", "p", 9)
+        };
+        let mut external = Session::new(spec(None), Arc::clone(&pool)).unwrap();
+        let tickets = external.propose(6).unwrap();
+        let labels: Vec<(u64, bool)> = tickets.iter().map(|t| (t.id, true)).collect();
+        external.apply_labels(&labels).unwrap();
+        let mut oracle = Session::new(spec(Some(truth)), Arc::clone(&pool)).unwrap();
+        oracle.step(40).unwrap();
+
+        fn lists(oracle: &mut OracleCheckpoint) -> Vec<&mut Vec<usize>> {
+            match oracle {
+                OracleCheckpoint::External { labelled, .. } => vec![labelled],
+                OracleCheckpoint::GroundTruth { truth, queried, .. } => vec![truth, queried],
+            }
+        }
+        for good in [external.checkpoint(), oracle.checkpoint()] {
+            let list_count = lists(&mut good.clone().oracle).len();
+            for which in 0..list_count {
+                let tamper = |edit: &dyn Fn(&mut Vec<usize>)| {
+                    let mut bad = good.clone();
+                    let list = lists(&mut bad.oracle).swap_remove(which);
+                    assert!(list.len() >= 2, "the fixture needs two indices");
+                    edit(list);
+                    // Through the JSON form, as a stored document would arrive.
+                    let text = bad.to_json_string();
+                    let parsed = SessionCheckpoint::from_json_string(&text).unwrap();
+                    Session::restore(parsed, Arc::clone(&pool)).unwrap_err()
+                };
+                let unsorted = tamper(&|list| list.swap(0, 1));
+                let duplicate = tamper(&|list| list[1] = list[0]);
+                let out_of_range = tamper(&|list| list.push(pool.len()));
+                for err in [unsorted, duplicate, out_of_range] {
+                    assert!(
+                        matches!(err, crate::error::EngineError::CheckpointMismatch(_)),
+                        "{err}"
+                    );
+                }
+            }
+            assert!(Session::restore(good, Arc::clone(&pool)).is_ok());
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_strata_count_the_state_does_not_fit() {
+        // Canonical strata are recomputed from the stored config, so a
+        // tampered `strata_count` yields strata the posterior rows do not
+        // cover, and even an absurd one must fail promptly.
+        let (pool, _) = pool_and_truth(400, 16);
+        let mut session = Session::new(
+            SessionSpec {
+                config: OasisConfig::default().with_strata_count(6),
+                ..SessionSpec::new("s", "p", 12)
+            },
+            Arc::clone(&pool),
+        )
+        .unwrap();
+        session.propose(1).unwrap();
+        let good = session.checkpoint();
+        for tampered in [3, usize::MAX] {
+            let mut bad = good.clone();
+            match &mut bad.sampler {
+                oasis::SamplerState::Oasis(state) => state.config.strata_count = tampered,
+                other => panic!("expected an OASIS state, got {:?}", other.method()),
+            }
+            assert!(
+                Session::restore(bad, Arc::clone(&pool)).is_err(),
+                "{tampered}"
+            );
+        }
+        assert!(Session::restore(good, pool).is_ok());
+    }
+
+    #[test]
+    fn v2_documents_store_no_canonical_strata_and_list_set_indices() {
+        let (pool, truth) = pool_and_truth(400, 14);
+        let mut session = Session::new(
+            SessionSpec {
+                method: oasis::SamplerMethod::Stratified,
+                config: OasisConfig::default().with_strata_count(4),
+                truth: Some(truth.clone()),
+                ..SessionSpec::new("s", "p", 10)
+            },
+            Arc::clone(&pool),
+        )
+        .unwrap();
+        session.step(30).unwrap();
+        let checkpoint = session.checkpoint();
+        let text = checkpoint.to_json_string();
+        assert!(text.contains(r#""format":"oasis-engine/checkpoint-v2""#));
+        assert!(!text.contains("allocations"), "{text}");
+        let OracleCheckpoint::GroundTruth { truth: listed, .. } = &checkpoint.oracle else {
+            panic!("expected a ground-truth oracle");
+        };
+        let expected: Vec<usize> = (0..truth.len()).filter(|&i| truth[i]).collect();
+        assert_eq!(listed, &expected);
+    }
+
+    #[test]
+    fn a_200_label_session_on_a_30k_pool_renders_under_16_kib() {
+        let (pool, truth) = pool_and_truth(30_000, 15);
+        let mut session = Session::new(SessionSpec::new("s", "p", 11), Arc::clone(&pool)).unwrap();
+        for _ in 0..200 {
+            let ticket = session.propose(1).unwrap()[0];
+            let label = truth[ticket.proposal.item];
+            session.apply_labels(&[(ticket.id, label)]).unwrap();
+        }
+        assert!(session.labels_consumed() > 0);
+        let bytes = crate::store::render_envelope(&session.checkpoint(), 200).len();
+        assert!(bytes < 16 * 1024, "envelope is {bytes} bytes");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! method-tagged sampler state, RNG words, pending tickets and oracle state,
 //! and [`Session::restore`] resumes exactly (see `crate::checkpoint`).
 
-use crate::checkpoint::{OracleCheckpoint, SessionCheckpoint};
+use crate::checkpoint::{flags_from_indices, set_indices, OracleCheckpoint, SessionCheckpoint};
 use crate::error::{EngineError, EngineResult};
 use oasis::{
     AnySampler, ConfidenceInterval, Estimate, GroundTruthOracle, InteractiveSampler, OasisConfig,
@@ -147,6 +147,10 @@ pub struct Session {
     /// not checkpoint state: rehydration recomputes it from the envelope
     /// watermark plus the replayed records.
     pub(crate) wal_seq: u64,
+    /// Watermark of the session's stored checkpoint: records
+    /// `checkpoint_seq..wal_seq` live only in the WAL.  Engine bookkeeping
+    /// like `wal_seq`.
+    pub(crate) checkpoint_seq: u64,
     /// Whether the session has been mutated since its last durable
     /// checkpoint (or, without a store, since it was created/restored).
     pub(crate) dirty: bool,
@@ -192,6 +196,7 @@ impl Session {
             limits: spec.limits,
             lease_now_us: 0,
             wal_seq: 0,
+            checkpoint_seq: 0,
             dirty: false,
         })
     }
@@ -511,12 +516,12 @@ impl Session {
             lease_now_us: self.lease_now_us,
             oracle: match &self.source {
                 LabelSource::External { labelled, distinct } => OracleCheckpoint::External {
-                    labelled: labelled.clone(),
+                    labelled: set_indices(labelled),
                     distinct: *distinct,
                 },
                 LabelSource::GroundTruth(oracle) => OracleCheckpoint::GroundTruth {
-                    truth: oracle.ground_truth().to_vec(),
-                    queried: oracle.queried_mask().to_vec(),
+                    truth: set_indices(oracle.ground_truth()),
+                    queried: set_indices(oracle.queried_mask()),
                     queries_issued: oracle.queries_issued(),
                 },
             },
@@ -547,33 +552,21 @@ impl Session {
         }
         let sampler = TrackedSampler::<AnySampler>::from_state(&pool, checkpoint.sampler)?;
         let source = match checkpoint.oracle {
-            OracleCheckpoint::External { labelled, .. } => {
-                if labelled.len() != pool.len() {
-                    return Err(EngineError::CheckpointMismatch(
-                        "labelled bitmap does not cover the pool".to_string(),
-                    ));
-                }
-                // Recompute the budget from the bitmap (as the oracle path
+            OracleCheckpoint::External { labelled, .. } => LabelSource::External {
+                // Recompute the budget from the list (as the oracle path
                 // does) so a hand-edited `distinct` cannot misreport it.
-                let distinct = labelled.iter().filter(|&&l| l).count();
-                LabelSource::External { labelled, distinct }
-            }
+                distinct: labelled.len(),
+                labelled: flags_from_indices(&labelled, pool.len(), "labelled")?,
+            },
             OracleCheckpoint::GroundTruth {
                 truth,
                 queried,
                 queries_issued,
-            } => {
-                if truth.len() != pool.len() {
-                    return Err(EngineError::CheckpointMismatch(
-                        "ground truth does not cover the pool".to_string(),
-                    ));
-                }
-                LabelSource::GroundTruth(GroundTruthOracle::from_state(
-                    truth,
-                    queried,
-                    queries_issued,
-                )?)
-            }
+            } => LabelSource::GroundTruth(GroundTruthOracle::from_state(
+                flags_from_indices(&truth, pool.len(), "truth")?,
+                flags_from_indices(&queried, pool.len(), "queried")?,
+                queries_issued,
+            )?),
         };
         // Pending tickets come verbatim from the document; a crafted
         // checkpoint must not be able to smuggle out-of-range indices past
@@ -618,6 +611,7 @@ impl Session {
             limits: checkpoint.limits,
             lease_now_us: checkpoint.lease_now_us,
             wal_seq: 0,
+            checkpoint_seq: 0,
             dirty: false,
         })
     }

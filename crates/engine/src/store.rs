@@ -6,14 +6,21 @@
 //!
 //! * `checkpoint_to` writes an envelope `{"format":"oasis-engine/store-v1",
 //!   "wal_seq":N,"checkpoint":{…}}` — the inner document is an unmodified
-//!   [`SessionCheckpoint`] (`oasis-engine/checkpoint-v1`), and `wal_seq` is
+//!   [`SessionCheckpoint`] (`oasis-engine/checkpoint-v2`), and `wal_seq` is
 //!   the sequence number the *next* WAL record will carry — then truncates
 //!   the log.  A crash between those two steps is harmless: replay filters
 //!   records below the envelope's watermark.
 //! * `restore_from` loads the envelope, rebuilds the session from the inner
 //!   checkpoint, and replays every log record with `seq >= wal_seq`.
 //!
-//! Bare `oasis-engine/checkpoint-v1` documents (written before the store
+//! The inner document is compact: a v2 checkpoint leaves out the strata the
+//! pool determines and lists labelled items by index (see
+//! [`crate::checkpoint`]), so an envelope costs O(strata + labels) bytes,
+//! not O(pool), to write and to parse.  Envelopes whose inner document is
+//! an `oasis-engine/checkpoint-v1` are still read, and are rewritten as v2
+//! at the session's next checkpoint.
+//!
+//! Bare checkpoint documents of either version (written before the store
 //! existed, or exported over the wire by the `checkpoint` verb) are accepted
 //! too, with an implied watermark of 0 — so pre-store checkpoints remain
 //! restorable forever.
@@ -25,7 +32,7 @@
 //! per session under a root directory, session ids percent-encoded so any id
 //! accepted by the protocol maps to a safe, collision-free file name.
 
-use crate::checkpoint::{SessionCheckpoint, CHECKPOINT_FORMAT};
+use crate::checkpoint::{SessionCheckpoint, CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_V1};
 use crate::error::{EngineError, EngineResult};
 use serde::json::{FromJson, Json, ToJson};
 use std::fs;
@@ -46,7 +53,7 @@ pub fn render_envelope(checkpoint: &SessionCheckpoint, wal_seq: u64) -> String {
 }
 
 /// Parse a store document into `(checkpoint, wal_seq)`.  Accepts both the
-/// store envelope and a bare `checkpoint-v1` document (watermark 0).
+/// store envelope and a bare checkpoint document, v2 or v1 (watermark 0).
 ///
 /// # Errors
 /// [`EngineError::Store`] on malformed JSON or an unknown format tag.
@@ -57,15 +64,15 @@ pub fn parse_envelope(text: &str) -> EngineResult<(SessionCheckpoint, u64)> {
         .require("format")
         .and_then(|f| f.as_str().map(str::to_string))
         .map_err(|e| EngineError::Store(format!("bad store document: {e}")))?;
-    if format == CHECKPOINT_FORMAT {
+    if format == CHECKPOINT_FORMAT || format == CHECKPOINT_FORMAT_V1 {
         let checkpoint = SessionCheckpoint::from_json(&value)
             .map_err(|e| EngineError::Store(format!("bad checkpoint document: {e}")))?;
         return Ok((checkpoint, 0));
     }
     if format != STORE_FORMAT {
         return Err(EngineError::Store(format!(
-            "unsupported store format {format:?} (expected {STORE_FORMAT:?} or \
-             {CHECKPOINT_FORMAT:?})"
+            "unsupported store format {format:?} (expected {STORE_FORMAT:?}, \
+             {CHECKPOINT_FORMAT:?} or {CHECKPOINT_FORMAT_V1:?})"
         )));
     }
     let wal_seq = value
@@ -468,8 +475,8 @@ mod tests {
         assert_eq!(parsed, checkpoint);
         assert_eq!(wal_seq, 42);
 
-        // A bare checkpoint-v1 document (pre-store, or exported over the
-        // wire) is accepted with an implied watermark of 0.
+        // A bare checkpoint document (pre-store, or exported over the wire)
+        // is accepted with an implied watermark of 0.
         let bare = checkpoint.to_json_string();
         let (parsed, wal_seq) = parse_envelope(&bare).unwrap();
         assert_eq!(parsed, checkpoint);

@@ -8,6 +8,7 @@
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A pool of record pairs with similarity scores and predicted labels.
 ///
@@ -15,10 +16,20 @@ use serde::{Deserialize, Serialize};
 /// indices back to concrete record pairs (e.g. `(record_a, record_b)` ids)
 /// should keep that mapping alongside the pool; the sampling machinery only
 /// ever needs scores and predictions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoredPool {
     scores: Vec<f64>,
     predictions: Vec<bool>,
+    /// [`ScoredPool::fingerprint`], computed on first use.  The pool is
+    /// immutable, so the memo never goes stale.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Equality is content equality: the fingerprint memo is derived data.
+impl PartialEq for ScoredPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.scores == other.scores && self.predictions == other.predictions
+    }
 }
 
 impl ScoredPool {
@@ -49,6 +60,32 @@ impl ScoredPool {
         Ok(ScoredPool {
             scores,
             predictions,
+            fingerprint: OnceLock::new(),
+        })
+    }
+
+    /// FNV-1a content fingerprint over each item's score bits (little-endian)
+    /// followed by its prediction byte.  Checkpoints record it so a restore
+    /// can refuse a pool other than the one they were captured on.
+    ///
+    /// The O(N) hash runs at most once per pool value; later calls (and
+    /// every holder of the same `Arc<ScoredPool>`) read the memo.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut hash = OFFSET;
+            let mut eat = |byte: u8| {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(PRIME);
+            };
+            for (&score, &prediction) in self.scores.iter().zip(self.predictions.iter()) {
+                for byte in score.to_bits().to_le_bytes() {
+                    eat(byte);
+                }
+                eat(u8::from(prediction));
+            }
+            hash
         })
     }
 
@@ -178,6 +215,22 @@ mod tests {
         }
         let err = ScoredPool::new(vec![f64::INFINITY], vec![true]).unwrap_err();
         assert!(matches!(err, Error::NonFiniteScore { index: 0, .. }));
+    }
+
+    #[test]
+    fn fingerprint_is_memoised_and_tracks_content() {
+        let p = pool();
+        let first = p.fingerprint();
+        assert_eq!(p.fingerprint(), first);
+        assert_eq!(p.clone().fingerprint(), first);
+        assert_eq!(pool().fingerprint(), first, "a fresh copy hashes the same");
+        let other = ScoredPool::new(
+            vec![0.9, 0.8, 0.1, 0.3, 0.06],
+            vec![true, true, false, false, false],
+        )
+        .unwrap();
+        assert_ne!(other.fingerprint(), first);
+        assert_eq!(p, pool(), "the memo does not take part in equality");
     }
 
     #[test]

@@ -101,6 +101,17 @@ impl OasisConfig {
         self
     }
 
+    /// Partition `pool` with the configured stratification rule — the
+    /// canonical strata of an [`OasisSampler`] built with this config.
+    pub(super) fn stratify(&self, pool: &ScoredPool) -> Result<Strata> {
+        match self.stratifier {
+            StratifierChoice::Csf => CsfStratifier::new(self.strata_count).stratify(pool),
+            StratifierChoice::EqualSize => {
+                EqualSizeStratifier::new(self.strata_count).stratify(pool)
+            }
+        }
+    }
+
     pub(super) fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.alpha) || self.alpha.is_nan() {
             return Err(Error::InvalidParameter {
@@ -222,6 +233,10 @@ pub struct Proposal {
 pub struct OasisSampler {
     config: OasisConfig,
     strata: Strata,
+    /// Whether `strata` is what `config`'s stratifier produces over the
+    /// pool.  Canonical strata are left out of [`SamplerState`] because
+    /// restore recomputes them exactly.
+    canonical_strata: bool,
     model: BetaBernoulliModel,
     estimator: AisEstimator,
     initial_f_guess: f64,
@@ -252,18 +267,24 @@ impl OasisSampler {
     /// and set up the Bayesian model (Algorithm 3, line 1).
     pub fn new(pool: &ScoredPool, config: OasisConfig) -> Result<Self> {
         config.validate()?;
-        let strata = match config.stratifier {
-            StratifierChoice::Csf => CsfStratifier::new(config.strata_count).stratify(pool)?,
-            StratifierChoice::EqualSize => {
-                EqualSizeStratifier::new(config.strata_count).stratify(pool)?
-            }
-        };
-        Self::with_strata(pool, strata, config)
+        let strata = config.stratify(pool)?;
+        Self::build(pool, strata, true, config)
     }
 
     /// Build an OASIS sampler with a pre-computed stratification (useful to
-    /// share one stratification across repeated experiment runs).
+    /// share one stratification across repeated experiment runs).  Its
+    /// state carries the strata in full, since restore cannot recompute
+    /// them from the config.
     pub fn with_strata(pool: &ScoredPool, strata: Strata, config: OasisConfig) -> Result<Self> {
+        Self::build(pool, strata, false, config)
+    }
+
+    fn build(
+        pool: &ScoredPool,
+        strata: Strata,
+        canonical_strata: bool,
+        config: OasisConfig,
+    ) -> Result<Self> {
         config.validate()?;
         let init = initialise(pool, &strata, config.alpha, config.score_threshold);
         let eta = config.prior_strength.unwrap_or(2.0 * strata.len() as f64);
@@ -273,6 +294,7 @@ impl OasisSampler {
         Ok(OasisSampler {
             config,
             strata,
+            canonical_strata,
             model,
             estimator,
             initial_f_guess: init.f_guess,
@@ -381,10 +403,11 @@ impl OasisSampler {
     }
 
     /// Assemble a sampler from restored components; shared by
-    /// [`OasisState::rebuild`].
+    /// [`OasisState::rebuild`].  The strata come paired with whether they
+    /// are the config's canonical ones.
     pub(super) fn from_parts(
         config: OasisConfig,
-        strata: Strata,
+        (strata, canonical_strata): (Strata, bool),
         model: BetaBernoulliModel,
         estimator: AisEstimator,
         initial_f_guess: f64,
@@ -406,6 +429,7 @@ impl OasisSampler {
         Ok(OasisSampler {
             config,
             strata,
+            canonical_strata,
             model,
             estimator,
             initial_f_guess,
@@ -521,14 +545,15 @@ impl InteractiveSampler for OasisSampler {
         }
     }
 
-    /// Capture the full serializable state (strata, posterior, estimator
-    /// sums, initialisation products); see [`OasisState`].
+    /// Capture the full serializable state (posterior, estimator sums,
+    /// initialisation products, and the strata unless they are canonical);
+    /// see [`OasisState`].
     fn state(&self) -> SamplerState {
         let (prior_gamma0, prior_gamma1, observed_matches, observed_non_matches) =
             self.model.snapshot();
         SamplerState::Oasis(OasisState {
             config: self.config.clone(),
-            allocations: self.strata.allocations().to_vec(),
+            allocations: (!self.canonical_strata).then(|| self.strata.allocations().to_vec()),
             prior_gamma0: prior_gamma0.to_vec(),
             prior_gamma1: prior_gamma1.to_vec(),
             observed_matches: observed_matches.to_vec(),

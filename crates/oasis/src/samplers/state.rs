@@ -14,6 +14,13 @@
 //! so every `rebuild` validates before constructing (overlapping strata
 //! allocations, corrupt estimator sums, mismatched row lengths are all
 //! rejected rather than silently skewing later estimates).
+//!
+//! A state stores its stratification only when the pool cannot recompute
+//! it.  Samplers built by `new` stratify with their configured stratifier,
+//! which is a deterministic function of the pool's scores and the strata
+//! count, so their states carry `allocations: None` and `rebuild` runs the
+//! same stratifier again; [`Strata::from_allocations`] then yields the same
+//! strata, bit for bit.  Strata handed to `with_strata` are stored in full.
 
 use super::importance::ImportanceSampler;
 use super::oasis_sampler::{OasisConfig, OasisSampler};
@@ -24,7 +31,7 @@ use crate::confidence::VarianceTracker;
 use crate::error::{Error, Result};
 use crate::estimator::AisEstimator;
 use crate::pool::ScoredPool;
-use crate::strata::Strata;
+use crate::strata::{CsfStratifier, Strata, Stratifier};
 use serde::{Deserialize, Serialize};
 
 /// The sampling method a state (or a live sampler) belongs to.
@@ -210,6 +217,27 @@ impl TrackerState {
     }
 }
 
+/// Rebuild the strata a state describes, and report whether they are the
+/// canonical ones `stratify` produces over `pool`.
+///
+/// `None` allocations mean "canonical": `stratify` recomputes them.  Stored
+/// allocations are validated and used as they are; when they equal the
+/// canonical strata (a document written before canonical strata were
+/// omitted) the sampler is marked canonical, so its next state is compact.
+fn restore_strata(
+    pool: &ScoredPool,
+    allocations: Option<Vec<Vec<usize>>>,
+    stratify: impl Fn(&ScoredPool) -> Result<Strata>,
+) -> Result<(Strata, bool)> {
+    let Some(allocations) = allocations else {
+        return Ok((stratify(pool)?, true));
+    };
+    validate_allocations_disjoint(pool, &allocations)?;
+    let strata = Strata::from_allocations(pool, allocations)?;
+    let canonical = stratify(pool).is_ok_and(|c| c.allocations() == strata.allocations());
+    Ok((strata, canonical))
+}
+
 /// Reject allocations that place one pool item in more than one slot (within
 /// or across strata) — such a state would silently skew the stratum weights
 /// and every later estimate.  Out-of-range indices are rejected separately by
@@ -244,8 +272,10 @@ fn validate_allocations_disjoint(pool: &ScoredPool, allocations: &[Vec<usize>]) 
 pub struct OasisState {
     /// The sampler configuration.
     pub config: OasisConfig,
-    /// The exact stratification: pool indices per stratum.
-    pub allocations: Vec<Vec<usize>>,
+    /// The exact stratification, pool indices per stratum, when it is not
+    /// the one `config`'s stratifier produces over the pool; `None` when it
+    /// is (see the module docs).
+    pub allocations: Option<Vec<Vec<usize>>>,
     /// Prior pseudo-counts for label 1, per stratum.
     pub prior_gamma0: Vec<f64>,
     /// Prior pseudo-counts for label 0, per stratum.
@@ -275,17 +305,17 @@ impl OasisState {
     /// Rebuild a sampler against `pool`.
     ///
     /// The pool must be the one the state was captured against (the engine
-    /// layer verifies this with a fingerprint); `Strata::from_allocations`
-    /// recomputes the per-stratum summary statistics from the pool, which
-    /// reproduces the original values exactly because the summation order is
-    /// identical.
+    /// layer verifies this with a fingerprint).  Without stored allocations
+    /// the config's stratifier recomputes the strata; either way
+    /// `Strata::from_allocations` recomputes the per-stratum summary
+    /// statistics from the pool, which reproduces the original values
+    /// exactly because the summation order is identical.
     ///
     /// # Errors
     /// Propagates validation failures from the config, strata and model
     /// constructors (e.g. allocations referencing items outside the pool).
     pub fn rebuild(self, pool: &ScoredPool) -> Result<OasisSampler> {
-        validate_allocations_disjoint(pool, &self.allocations)?;
-        let strata = Strata::from_allocations(pool, self.allocations)?;
+        let strata = restore_strata(pool, self.allocations, |pool| self.config.stratify(pool))?;
         let model = BetaBernoulliModel::from_state(
             self.prior_gamma0,
             self.prior_gamma1,
@@ -358,14 +388,19 @@ impl ImportanceState {
     }
 }
 
-/// Full serializable state of a [`StratifiedSampler`]: the exact
-/// stratification plus the per-stratum tallies of the stratified estimator.
+/// Full serializable state of a [`StratifiedSampler`]: the stratification
+/// plus the per-stratum tallies of the stratified estimator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StratifiedState {
     /// F-measure weight α.
     pub alpha: f64,
-    /// The exact stratification: pool indices per stratum.
-    pub allocations: Vec<Vec<usize>>,
+    /// The requested CSF strata count `K` (for strata that were not built
+    /// by CSF, the number of strata).
+    pub strata_count: usize,
+    /// The exact stratification, pool indices per stratum, when it is not
+    /// the one `CsfStratifier::new(strata_count)` produces over the pool;
+    /// `None` when it is (see the module docs).
+    pub allocations: Option<Vec<Vec<usize>>>,
     /// Labelled draw counts per stratum.
     pub samples: Vec<f64>,
     /// Σ ℓ·ℓ̂ per stratum.
@@ -393,8 +428,10 @@ impl StratifiedState {
                 message: format!("must be in [0, 1], got {}", self.alpha),
             });
         }
-        validate_allocations_disjoint(pool, &self.allocations)?;
-        let strata = Strata::from_allocations(pool, self.allocations)?;
+        let strata_count = self.strata_count;
+        let (strata, canonical) = restore_strata(pool, self.allocations, |pool| {
+            CsfStratifier::new(strata_count).stratify(pool)
+        })?;
         let k = strata.len();
         if self.samples.len() != k
             || self.true_positives.len() != k
@@ -436,6 +473,7 @@ impl StratifiedState {
         }
         StratifiedSampler::from_parts(
             strata,
+            canonical.then_some(strata_count),
             self.alpha,
             self.samples,
             self.true_positives,
@@ -589,7 +627,7 @@ impl SamplerState {
 mod tests {
     use super::*;
     use crate::oracle::GroundTruthOracle;
-    use crate::samplers::{InteractiveSampler, Sampler};
+    use crate::samplers::{InteractiveSampler, Sampler, StratifierChoice};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -677,15 +715,20 @@ mod tests {
         let (pool, _) = pool_and_truth(50, 9);
         let sampler =
             OasisSampler::new(&pool, OasisConfig::default().with_strata_count(4)).unwrap();
+        let stored = || Some(sampler.strata().allocations().to_vec());
         // Duplicate within one stratum.
         let mut state = oasis_state(&sampler);
-        let item = state.allocations[0][0];
-        state.allocations[0].push(item);
+        state.allocations = stored();
+        let allocations = state.allocations.as_mut().unwrap();
+        let item = allocations[0][0];
+        allocations[0].push(item);
         assert!(state.rebuild(&pool).is_err());
         // Duplicate across strata.
         let mut state = oasis_state(&sampler);
-        let item = state.allocations[0][0];
-        state.allocations[1].push(item);
+        state.allocations = stored();
+        let allocations = state.allocations.as_mut().unwrap();
+        let item = allocations[0][0];
+        allocations[1].push(item);
         assert!(state.rebuild(&pool).is_err());
     }
 
@@ -695,8 +738,120 @@ mod tests {
         let sampler =
             OasisSampler::new(&pool, OasisConfig::default().with_strata_count(4)).unwrap();
         let mut state = oasis_state(&sampler);
-        state.allocations[0].push(10_000);
+        state.allocations = Some(sampler.strata().allocations().to_vec());
+        state.allocations.as_mut().unwrap()[0].push(10_000);
         assert!(state.rebuild(&pool).is_err());
+    }
+
+    /// Step `sampler` 60 times, restore a copy from its state's JSON form,
+    /// and check both sides continue identically for 60 more steps.
+    fn assert_json_restore_continues_bitwise<S: Sampler + Clone>(
+        pool: &ScoredPool,
+        truth: &[bool],
+        mut sampler: S,
+    ) -> SamplerState {
+        use serde::json::{FromJson, Json, ToJson};
+        let mut oracle = GroundTruthOracle::new(truth.to_vec());
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..60 {
+            sampler.step(pool, &mut oracle, &mut rng).unwrap();
+        }
+        let state = sampler.state();
+        let text = state.to_json().render();
+        let parsed = SamplerState::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(parsed, state);
+        let mut restored = S::from_state(pool, parsed).unwrap();
+        let (mut rng_b, mut oracle_b) = (rng.clone(), oracle.clone());
+        for _ in 0..60 {
+            let a = sampler.step(pool, &mut oracle, &mut rng).unwrap();
+            let b = restored.step(pool, &mut oracle_b, &mut rng_b).unwrap();
+            assert_eq!(a.item, b.item);
+            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+        }
+        let (a, b) = (sampler.estimate(), restored.estimate());
+        assert_eq!(a.f_measure.to_bits(), b.f_measure.to_bits());
+        assert_eq!(restored.state(), sampler.state());
+        state
+    }
+
+    #[test]
+    fn canonical_strata_are_omitted_and_recomputed_exactly() {
+        let (pool, truth) = pool_and_truth(900, 13);
+        for stratifier in [StratifierChoice::Csf, StratifierChoice::EqualSize] {
+            let config = OasisConfig::default()
+                .with_strata_count(7)
+                .with_stratifier(stratifier);
+            let sampler = OasisSampler::new(&pool, config).unwrap();
+            let state = assert_json_restore_continues_bitwise(&pool, &truth, sampler);
+            let SamplerState::Oasis(state) = state else {
+                panic!("expected an OASIS state");
+            };
+            assert_eq!(state.allocations, None, "{stratifier:?}");
+        }
+        let sampler = StratifiedSampler::new(&pool, 0.5, 6).unwrap();
+        let state = assert_json_restore_continues_bitwise(&pool, &truth, sampler);
+        let SamplerState::Stratified(state) = state else {
+            panic!("expected a stratified state");
+        };
+        assert_eq!((state.strata_count, state.allocations), (6, None));
+    }
+
+    /// A partition no stratifier produces: items dealt round-robin by index.
+    fn dealt_strata(pool: &ScoredPool, k: usize) -> Strata {
+        let mut allocations = vec![Vec::new(); k];
+        for item in 0..pool.len() {
+            allocations[item % k].push(item);
+        }
+        Strata::from_allocations(pool, allocations).unwrap()
+    }
+
+    #[test]
+    fn custom_strata_are_checkpointed_in_full_and_restore_bitwise() {
+        let (pool, truth) = pool_and_truth(900, 14);
+        let strata = dealt_strata(&pool, 5);
+        let config = OasisConfig::default().with_strata_count(5);
+        let sampler = OasisSampler::with_strata(&pool, strata.clone(), config).unwrap();
+        let state = assert_json_restore_continues_bitwise(&pool, &truth, sampler);
+        let SamplerState::Oasis(state) = state else {
+            panic!("expected an OASIS state");
+        };
+        assert_eq!(state.allocations.as_deref(), Some(strata.allocations()));
+        let restored = state.rebuild(&pool).unwrap();
+        assert_eq!(restored.strata(), &strata);
+
+        let sampler = StratifiedSampler::with_strata(strata.clone(), 0.5);
+        let state = assert_json_restore_continues_bitwise(&pool, &truth, sampler);
+        let SamplerState::Stratified(state) = state else {
+            panic!("expected a stratified state");
+        };
+        assert_eq!(state.allocations.as_deref(), Some(strata.allocations()));
+        let restored = state.rebuild(&pool).unwrap();
+        assert_eq!(restored.strata(), &strata);
+    }
+
+    #[test]
+    fn stored_allocations_equal_to_the_canonical_ones_migrate_to_compact() {
+        let (pool, _) = pool_and_truth(500, 15);
+        let sampler =
+            OasisSampler::new(&pool, OasisConfig::default().with_strata_count(6)).unwrap();
+        let mut state = oasis_state(&sampler);
+        state.allocations = Some(sampler.strata().allocations().to_vec());
+        let restored = state.rebuild(&pool).unwrap();
+        assert_eq!(restored.strata(), sampler.strata());
+        assert_eq!(oasis_state(&restored).allocations, None);
+
+        let sampler = StratifiedSampler::new(&pool, 0.5, 4).unwrap();
+        let SamplerState::Stratified(mut state) = sampler.state() else {
+            panic!("expected a stratified state");
+        };
+        // As decoded from a document that predates `strata_count`.
+        state.allocations = Some(sampler.strata().allocations().to_vec());
+        state.strata_count = sampler.strata().len();
+        let restored = state.rebuild(&pool).unwrap();
+        let SamplerState::Stratified(state) = restored.state() else {
+            panic!("expected a stratified state");
+        };
+        assert_eq!(state.allocations, None);
     }
 
     #[test]

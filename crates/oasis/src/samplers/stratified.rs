@@ -38,6 +38,10 @@ struct StratumTally {
 #[derive(Debug, Clone)]
 pub struct StratifiedSampler {
     strata: Strata,
+    /// `Some(K)` when `strata` is what `CsfStratifier::new(K)` produces
+    /// over the pool.  Canonical strata are left out of [`SamplerState`]
+    /// because restore recomputes them exactly.
+    canonical_strata: Option<usize>,
     alpha: f64,
     tallies: Vec<StratumTally>,
     iterations: usize,
@@ -53,16 +57,22 @@ impl StratifiedSampler {
     /// (the paper uses `K = 30`).
     pub fn new(pool: &ScoredPool, alpha: f64, strata_count: usize) -> Result<Self> {
         let strata = CsfStratifier::new(strata_count).stratify(pool)?;
-        Ok(Self::with_strata(strata, alpha))
+        Ok(Self::build(strata, Some(strata_count), alpha))
     }
 
-    /// Create the sampler from a pre-computed stratification.
+    /// Create the sampler from a pre-computed stratification.  Its state
+    /// carries the strata in full, since restore cannot recompute them.
     pub fn with_strata(strata: Strata, alpha: f64) -> Self {
+        Self::build(strata, None, alpha)
+    }
+
+    fn build(strata: Strata, canonical_strata: Option<usize>, alpha: f64) -> Self {
         let k = strata.len();
         let stratum_sizes = (0..k).map(|i| strata.size(i) as f64).collect();
         let weight_cdf = CategoricalCdf::new(strata.weights());
         StratifiedSampler {
             strata,
+            canonical_strata,
             alpha,
             tallies: vec![StratumTally::default(); k],
             iterations: 0,
@@ -80,13 +90,14 @@ impl StratifiedSampler {
     /// [`StratifiedState::rebuild`] (which validates the rows first).
     pub(super) fn from_parts(
         strata: Strata,
+        canonical_strata: Option<usize>,
         alpha: f64,
         samples: Vec<f64>,
         true_positives: Vec<f64>,
         actual_positives: Vec<f64>,
         iterations: usize,
     ) -> Result<Self> {
-        let mut sampler = StratifiedSampler::with_strata(strata, alpha);
+        let mut sampler = StratifiedSampler::build(strata, canonical_strata, alpha);
         for (k, tally) in sampler.tallies.iter_mut().enumerate() {
             tally.samples = samples[k];
             tally.true_positives = true_positives[k];
@@ -248,7 +259,11 @@ impl InteractiveSampler for StratifiedSampler {
         }
         SamplerState::Stratified(StratifiedState {
             alpha: self.alpha,
-            allocations: self.strata.allocations().to_vec(),
+            strata_count: self.canonical_strata.unwrap_or(self.strata.len()),
+            allocations: self
+                .canonical_strata
+                .is_none()
+                .then(|| self.strata.allocations().to_vec()),
             samples,
             true_positives,
             actual_positives,

@@ -340,24 +340,35 @@ impl FromJson for SamplerMethod {
     }
 }
 
-fn allocations_to_json(allocations: &[Vec<usize>]) -> Json {
-    Json::Array(allocations.iter().map(ToJson::to_json).collect())
+/// Stored allocations, or nothing for canonical strata (see
+/// [`crate::samplers::state`]).
+fn set_allocations(obj: &mut Json, allocations: &Option<Vec<Vec<usize>>>) {
+    if let Some(allocations) = allocations {
+        obj.set(
+            "allocations",
+            Json::Array(allocations.iter().map(ToJson::to_json).collect()),
+        );
+    }
 }
 
-fn allocations_from_json(value: &Json) -> JsonResult<Vec<Vec<usize>>> {
+fn allocations_from_json(value: &Json) -> JsonResult<Option<Vec<Vec<usize>>>> {
     value
-        .require("allocations")?
-        .as_array()?
-        .iter()
-        .map(Vec::<usize>::from_json)
-        .collect()
+        .get("allocations")
+        .map(|allocations| {
+            allocations
+                .as_array()?
+                .iter()
+                .map(Vec::<usize>::from_json)
+                .collect()
+        })
+        .transpose()
 }
 
 impl ToJson for OasisState {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("config", self.config.to_json());
-        obj.set("allocations", allocations_to_json(&self.allocations));
+        set_allocations(&mut obj, &self.allocations);
         obj.set("prior_gamma0", self.prior_gamma0.to_json());
         obj.set("prior_gamma1", self.prior_gamma1.to_json());
         obj.set("observed_matches", self.observed_matches.to_json());
@@ -437,7 +448,8 @@ impl ToJson for StratifiedState {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("alpha", self.alpha.to_json());
-        obj.set("allocations", allocations_to_json(&self.allocations));
+        obj.set("strata_count", self.strata_count.to_json());
+        set_allocations(&mut obj, &self.allocations);
         obj.set("samples", self.samples.to_json());
         obj.set("true_positives", self.true_positives.to_json());
         obj.set("actual_positives", self.actual_positives.to_json());
@@ -449,9 +461,17 @@ impl ToJson for StratifiedState {
 
 impl FromJson for StratifiedState {
     fn from_json(value: &Json) -> JsonResult<Self> {
+        let allocations = allocations_from_json(value)?;
+        // Documents written before canonical strata were omitted carry no
+        // `strata_count`; their stored allocations give the count.
+        let strata_count = match (&allocations, value.get("strata_count")) {
+            (Some(allocations), None) => allocations.len(),
+            _ => value.require("strata_count")?.as_usize()?,
+        };
         Ok(StratifiedState {
             alpha: field_f64(value, "alpha")?,
-            allocations: allocations_from_json(value)?,
+            strata_count,
+            allocations,
             samples: Vec::<f64>::from_json(value.require("samples")?)?,
             true_positives: Vec::<f64>::from_json(value.require("true_positives")?)?,
             actual_positives: Vec::<f64>::from_json(value.require("actual_positives")?)?,

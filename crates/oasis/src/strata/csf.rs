@@ -94,9 +94,13 @@ impl Stratifier for CsfStratifier {
 
         // Lines 8–18: map the cut points back to score-scale boundaries.
         // `boundaries` holds the upper score edge of each stratum except the
-        // last (which is implicitly `max`).
-        let mut boundaries: Vec<f64> = Vec::with_capacity(k_tilde);
-        let mut next_cut = 1usize; // index of the next csf bin boundary (k · w)
+        // last (which is implicitly `max`).  Each histogram bin adds at most
+        // one, so an absurd K (a crafted request or checkpoint) cannot make
+        // this reserve more than M slots.
+        let mut boundaries: Vec<f64> = Vec::with_capacity(k_tilde.min(m));
+        // Index of the next csf bin boundary (k · w); u128 so that the cut
+        // just past the last bin cannot overflow even when K = usize::MAX.
+        let mut next_cut = 1u128;
         for (j, &csf_j) in csf.iter().enumerate() {
             if boundaries.len() + 1 >= k_tilde {
                 break;
@@ -105,7 +109,16 @@ impl Stratifier for CsfStratifier {
                 // Upper score edge of histogram bin j.
                 let edge = min + (j + 1) as f64 * width;
                 boundaries.push(edge);
-                // Skip any cut points that fell inside this same bin.
+                // Skip any cut points that fell inside this same bin.  The
+                // cut `n·w` grows monotonically with `n`, so jump to just
+                // below the first cut past `csf_j` and finish with the
+                // exact comparison: the same `next_cut` as stepping one at
+                // a time, without stepping ~K times when K ≫ M.
+                let mut jump = ((csf_j / w) as u128).max(next_cut);
+                while jump > next_cut && csf_j < (jump - 1) as f64 * w {
+                    jump -= 1;
+                }
+                next_cut = jump;
                 while csf_j >= next_cut as f64 * w {
                     next_cut += 1;
                 }
@@ -239,6 +252,26 @@ mod tests {
         assert!(strata.len() > 1);
         let allocated: usize = (0..strata.len()).map(|k| strata.size(k)).sum();
         assert_eq!(allocated, 1000);
+    }
+
+    #[test]
+    fn absurd_strata_counts_stay_bounded_by_the_histogram() {
+        // A crafted request or checkpoint can name any K; the work and the
+        // strata must stay bounded by the M histogram bins, not by K.
+        let pool = imbalanced_pool(3_000, 10);
+        let bins = CsfStratifier::new(1).histogram_bins;
+        let mut previous = None;
+        for k in [1usize << 40, usize::MAX / 2, usize::MAX] {
+            let strata = CsfStratifier::new(k).stratify(&pool).unwrap();
+            assert!(strata.len() <= bins + 1, "K = {k}: {} strata", strata.len());
+            let allocated: usize = (0..strata.len()).map(|s| strata.size(s)).sum();
+            assert_eq!(allocated, pool.len());
+            // Past M, K only shrinks the cut width: every occupied bin
+            // already closes a stratum, so the partition stops changing.
+            if let Some(previous) = previous.replace(strata.clone()) {
+                assert_eq!(strata, previous, "K = {k}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use oasis::samplers::OasisConfig;
 use oasis::ScoredPool;
-use oasis_engine::{Engine, SessionSpec};
+use oasis_engine::{Engine, Session, SessionCheckpoint, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,4 +77,22 @@ fn main() {
         estimate.f_measure, estimate.precision, estimate.recall,
     );
     println!("ci95: [{}, {}]", interval.lower, interval.upper);
+
+    // Checkpoint size and one checkpoint → JSON → restore round trip; on
+    // stderr too, since the timing varies from run to run.
+    let start = std::time::Instant::now();
+    let document = session.lock().checkpoint().to_json_string();
+    let checkpoint = SessionCheckpoint::from_json_string(&document).expect("parse checkpoint");
+    let restored =
+        Session::restore(checkpoint, engine.pool("large").expect("loaded")).expect("restore");
+    eprintln!(
+        "checkpoint: {} bytes; checkpoint -> restore in {:.2?}",
+        document.len(),
+        start.elapsed()
+    );
+    assert_eq!(
+        restored.estimate().f_measure.to_bits(),
+        estimate.f_measure.to_bits(),
+        "a restored session reports the same estimate"
+    );
 }
